@@ -46,10 +46,10 @@ def main() -> int:
         extracted = extract_frequencies(traj, A)
         shift = M @ np.full(A.n, nu)
         for i, a in enumerate(A.modes):
-            predicted = omega[i] + shift[i]
+            predicted = float(omega[i] + shift[i])
             gap = abs(extracted[a] - predicted)
             gaps.append(gap)
-            print(f"{nu!r},{a},{omega[i]!r},{predicted!r},{extracted[a]!r},"
+            print(f"{nu!r},{a},{float(omega[i])!r},{predicted!r},{extracted[a]!r},"
                   f"{gap!r},{10 * nu ** 1.5!r}")
         print(f"# run nu={nu} took {time.time() - t0:.0f}s", file=sys.stderr)
     if len(nus) >= 2:

@@ -68,7 +68,7 @@ class ResonanceFlags:
     in_J: bool
     in_J2: bool
     in_R2: bool
-    omega_kind: Optional[int]  # 0, 1 or 2 by sign pattern, None outside J
+    omega_kind: Optional[int]  # 2 in J (every quadruple is a 2-2 monomial), None outside J
 
 
 def resonance_membership(quad: Sequence[int], A: ModeSetLike) -> ResonanceFlags:

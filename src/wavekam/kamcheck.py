@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .birkhoff import RescaledNormalForm
-from .smalldiv import _k_vectors
+from .smalldiv import DivisorRange
 
 MAX_UNFORCED_DIM = 4
 
@@ -80,16 +80,12 @@ def rho_grid(n: int, points_per_dim: Optional[int] = None, force: bool = False) 
     return np.array(list(itertools.product(*axes)))
 
 
-def _normal_modes(rnf: RescaledNormalForm, S: int) -> np.ndarray:
-    return np.array([s for s in range(-S, S + 1) if rnf.A.is_normal(s)])
-
-
 def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = None,
              force: bool = False) -> HypothesisReport:
     """Separation: Lambda_a(rho) >= <a> and |Lambda_a - Lambda_b| >=
     (1/8)||a|-|b|| over normal modes |a|,|b| <= S and a rho grid."""
     grid = rho_grid(rnf.A.n, points_per_dim, force)
-    normals = _normal_modes(rnf, S)
+    normals = np.array(rnf.A.normal_modes(S))
     brackets = np.maximum(np.abs(normals), 1)
     violations: list[Violation] = []
     checked = 0
@@ -123,16 +119,6 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
         checked_count=checked,
         violations=violations,
     )
-
-
-def _d1_resonant_pattern(rnf: RescaledNormalForm, k: np.ndarray, a: int) -> bool:
-    A = rnf.A
-    for s in A.modes:
-        e = np.zeros(A.n)
-        e[A.index_of(s)] = 1.0
-        if abs(a) == abs(s) and np.array_equal(k, -e):
-            return True
-    return False
 
 
 def _resonant_shift_formula(rnf: RescaledNormalForm, s: int, rho: np.ndarray) -> float:
@@ -174,9 +160,8 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     delta0 = 0.5 * nu / float(np.linalg.norm(np.linalg.inv(rnf.M), 2))
     small_cap = nu ** (-gamma_exponent)
     grid = rho_grid(n, points_per_dim, force)
-    normals = _normal_modes(rnf, S)
-    abs_n = np.abs(normals)
-    wa = np.maximum(abs_n, 1).astype(float)
+    rng = DivisorRange(A, N, S)
+    normals = rng.normals
     lam_base = np.asarray(rnf.fs.lam(normals), dtype=float)
     deriv_row = (3.0 / math.pi) * float(
         np.linalg.norm(1.0 / rnf.fs.omega_vector(A), 2))
@@ -190,7 +175,7 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
                                     float(value), float(required),
                                     "value+derivative"))
 
-    def value_failures(kvec, rho, omega_k, lam, margin):
+    def value_failures(k, rho, omega_k, lam, margin):
         """(family, a, b, value, required) for value-bound failures, resonant
         patterns excluded after their positivity check."""
         failures = []
@@ -198,39 +183,37 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
         if abs(omega_k) < required0:
             failures.append(("D0", None, None, omega_k, required0))
         vals1 = omega_k + lam
-        req1 = nu ** (2.0 / 3.0) * wa + margin
+        req1 = nu ** (2.0 / 3.0) * rng.weights["D1"][:, 0] + margin
         bad1 = np.abs(vals1) < req1
+        resonant = rng.resonant("D1", k)
         for idx in np.nonzero(bad1)[0]:
             a = int(normals[idx])
-            if _d1_resonant_pattern(rnf, kvec, a):
+            if (abs(a),) in resonant:
                 branch_counts["resonant-pattern"] += 1
                 if vals1[idx] == 0.0:
-                    record("D1", kvec, a, None, rho, 0.0, 0.0)
+                    record("D1", k, a, None, rho, 0.0, 0.0)
                 continue
             failures.append(("D1", a, None, float(vals1[idx]), float(req1[idx])))
         for family, sign in (("D2", 1.0), ("D3", -1.0)):
             vals = vals1[:, None] + sign * lam[None, :]
-            if family == "D2":
-                weights = wa[:, None] + wa[None, :]
-                mask = np.ones_like(vals, dtype=bool)
-            else:
-                weights = 1.0 + np.abs(abs_n[:, None] - abs_n[None, :])
-                mask = abs_n[:, None] != abs_n[None, :]
-            req = nu ** (2.0 / 3.0) * weights + margin
-            bad = mask & (np.abs(vals) < req)
+            req = nu ** (2.0 / 3.0) * rng.weights[family] + margin
+            bad = np.abs(vals) < req
+            if family == "D3":
+                bad &= rng.distinct
+            resonant = rng.resonant(family, k)
             for i, j in zip(*np.nonzero(bad)):
                 a, b = int(normals[i]), int(normals[j])
-                if _pair_resonant(rnf, kvec, a, b, family):
+                if (abs(a), abs(b)) in resonant:
                     branch_counts["resonant-pattern"] += 1
                     # exact O(nu) shift; must stay away from zero
                     if vals[i, j] == 0.0:
-                        record(family, kvec, a, b, rho, 0.0, 0.0)
+                        record(family, k, a, b, rho, 0.0, 0.0)
                     continue
                 failures.append((family, a, b, float(vals[i, j]), float(req[i, j])))
         return failures
 
     worst_allowance = 2.0 * deriv_row / float(np.min(lam_base))
-    for k in _k_vectors(n, N):
+    for k in rng.ks:
         kvec = np.array(k, dtype=float)
         k_l1 = float(np.abs(kvec).sum())
         margin = delta0 * k_l1
@@ -251,7 +234,7 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
                 continue
             omega_k = float(np.dot(kvec, rnf.omega_of(rho)))
             lam = np.asarray(rnf.lambda_of(normals, rho))
-            failures = value_failures(kvec, rho, omega_k, lam, margin)
+            failures = value_failures(k, rho, omega_k, lam, margin)
             if not failures:
                 branch_counts["value"] += 1
                 continue
@@ -273,26 +256,6 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     )
 
 
-def _pair_resonant(rnf: RescaledNormalForm, k: np.ndarray, a: int, b: int,
-                   family: str) -> bool:
-    A = rnf.A
-    for s in A.modes:
-        for sp in A.modes:
-            e = np.zeros(A.n)
-            e[A.index_of(s)] -= 1.0
-            if family == "D2":
-                e2 = e.copy()
-                e2[A.index_of(sp)] -= 1.0
-                if sorted((abs(a), abs(b))) == sorted((abs(s), abs(sp))) and np.array_equal(k, e2):
-                    return True
-            else:
-                e2 = e.copy()
-                e2[A.index_of(sp)] += 1.0
-                if abs(a) == abs(s) and abs(b) == abs(sp) and np.array_equal(k, e2):
-                    return True
-    return False
-
-
 def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
                   points_per_dim: Optional[int] = None,
                   force: bool = False) -> HypothesisReport:
@@ -309,11 +272,10 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
     if not (0.0 < kappa < nu):
         raise ValueError("need 0 < kappa < delta = nu")
     grid = rho_grid(rnf.A.n, points_per_dim, force)
-    normals = _normal_modes(rnf, S)
-    abs_n = np.abs(normals)
-    pair_mask = abs_n[:, None] != abs_n[None, :]
-    weights = kappa * (1.0 + np.abs(abs_n[:, None] - abs_n[None, :]))
-    ks = [np.array(k, dtype=float) for k in _k_vectors(rnf.A.n, N)]
+    rng = DivisorRange(rnf.A, N, S)
+    normals, pair_mask = rng.normals, rng.distinct
+    weights = kappa * rng.weights["D3"]
+    ks = [np.array(k, dtype=float) for k in rng.ks]
     accepted_mask: list[bool] = []
     checked = 0
     violations: list[Violation] = []

@@ -171,7 +171,8 @@ def _rotation(spec: _Spectral, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
               eta0: Optional[np.ndarray] = None) -> TorusTrajectory:
-    """Run the configured integrator and record samples every store_every steps.
+    """Run the configured integrator and record samples every store_every
+    steps, and the final state when the last block is shorter.
 
     Aborts with BlowUpError (carrying the last good snapshot) if the state
     norm grows past 10x its initial value.
@@ -182,7 +183,7 @@ def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
     else:
         xi, eta = xi0.astype(complex).copy(), eta0.astype(complex).copy()
     n_steps = cfg.n_steps
-    n_samples = n_steps // cfg.store_every + 1
+    n_samples = -(-n_steps // cfg.store_every) + 1
     tang_idx = np.array([a + cfg.cutoff for a in cfg.A.modes])
     times = np.empty(n_samples)
     xis = np.empty((n_samples, 2 * cfg.cutoff + 1), dtype=complex)
@@ -227,13 +228,8 @@ def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
         if norm > 10.0 * max(initial_norm, 1e-300):
             raise BlowUpError(t, norm, initial_norm,
                               (xis[sample - 1].copy(), etas[sample - 1].copy()))
-        if block == cfg.store_every:
-            store(sample, t)
-            sample += 1
-    times = times[:sample]
-    xis = xis[:sample]
-    etas = etas[:sample]
-    energies = energies[:sample]
+        store(sample, t)
+        sample += 1
     actions = np.abs(xis[:, tang_idx]) ** 2
     phases = np.angle(xis[:, tang_idx])
     return TorusTrajectory(cfg, times, xis, etas, energies, actions, phases)
@@ -324,10 +320,12 @@ def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet,
                         max_residual: float = 0.1) -> dict[int, float]:
     """Least-squares linear fit of the unwrapped tangential phases.
 
-    Requires at least ~100 tangential periods and phase coherence (RMS
+    Requires at least ~100 tangential periods, samples spaced by at most
+    pi / omega_a (a wider spacing aliases the phase) and phase coherence (RMS
     residual below max_residual radians); returns slope magnitudes.
     """
     times = traj.times
+    spacing = float(np.max(np.diff(times), initial=0.0))
     fs = FrequencySystem(traj.config.mass)
     out: dict[int, float] = {}
     for col, a in enumerate(A.modes):
@@ -335,6 +333,10 @@ def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet,
         if times[-1] * omega_a < 100.0 * 2.0 * math.pi:
             raise FrequencyExtractionError(
                 f"trajectory too short for mode {a}: {times[-1] * omega_a / (2 * math.pi):.1f} periods")
+        if spacing * omega_a > math.pi:
+            raise FrequencyExtractionError(
+                f"sample spacing {spacing:g} aliases mode {a}: "
+                f"spacing * omega = {spacing * omega_a:.3f} > pi")
         phase = np.unwrap(traj.phases[:, col])
         design = np.vstack([times, np.ones_like(times)]).T
         (slope, _), res, *_ = np.linalg.lstsq(design, phase, rcond=None)

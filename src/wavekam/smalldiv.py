@@ -7,15 +7,22 @@ Divisor kinds:
     D2 = omega . k + lambda_a + lambda_b
     D3 = omega . k + lambda_a - lambda_b
 with k an integer vector over the tangential set and a, b normal modes.
-Resonance is decided by the index pattern (k = -e_s etc.), never by a numeric
-zero test: for integer k and generic mass those patterns are exactly the
-divisors that vanish identically in the mass.
+Resonance is decided by the index pattern, never by a numeric zero test.
+`resonant_patterns(A)`, built once per tangential set, maps (kind, k) to the
+(|a|, |b|) whose divisor vanishes identically in the mass: D0 at k = 0, D1 at
+k = -e_s with |a| = |s|, D2 at k = -e_s - e_s' with (|s|, |s'|) in either
+order, D3 at k = -e_s + e_s' with (|s|, |s'|).  Every other k is
+non-resonant.  `DivisorRange` owns the (k, a, b) range and the (a, b) weight
+tables that the scans here and in kamcheck walk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -24,11 +31,6 @@ from .intervals import Interval, interval_frequency
 from .spectrum import AdmissibleSet, FrequencySystem, MeasureEstimate, _count_boundary_cells, _mass_grid
 
 KINDS = ("D0", "D1", "D2", "D3")
-
-
-def bracket(s: int) -> int:
-    """<s> = max(|s|, 1)."""
-    return max(abs(s), 1)
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,14 @@ class DivisorReport:
 
 
 def divisor_weight(q: DivisorQuery) -> float:
-    """Weight multiplying kappa in the lower bound for each kind."""
+    """Weight multiplying kappa in the lower bound for each kind, with
+    <s> = max(|s|, 1): 1, <a>, <a> + <b> and 1 + ||a| - |b||."""
     if q.kind == "D0":
         return 1.0
     if q.kind == "D1":
-        return float(bracket(q.a))
+        return float(max(abs(q.a), 1))
     if q.kind == "D2":
-        return float(bracket(q.a) + bracket(q.b))
+        return float(max(abs(q.a), 1) + max(abs(q.b), 1))
     return float(1 + abs(abs(q.a) - abs(q.b)))
 
 
@@ -125,49 +128,36 @@ def certify_lower_bound(q: DivisorQuery, m: float, A: AdmissibleSet,
     return iv.abs_lower() >= kappa * divisor_weight(q)
 
 
-def _unit(A: AdmissibleSet, s: int) -> tuple[int, ...]:
-    e = [0] * A.n
-    e[A.index_of(s)] = 1
-    return tuple(e)
+def _pattern_key(a: Optional[int], b: Optional[int]) -> tuple[int, ...]:
+    """(|a|, |b|) of a query, without the indices its kind does not have."""
+    return tuple(abs(s) for s in (a, b) if s is not None)
 
 
-def _neg(k: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-x for x in k)
+@functools.lru_cache(maxsize=None)
+def resonant_patterns(A: AdmissibleSet) -> MappingProxyType:
+    """The resonant index patterns of A, read-only since every caller shares
+    it: (kind, k) -> set of resonant (|a|, |b|) keys, () for D0 and (|a|,)
+    for D1."""
+    def k_vec(*terms: tuple[int, int]) -> tuple[int, ...]:
+        k = [0] * A.n
+        for sign, s in terms:
+            k[A.index_of(s)] += sign
+        return tuple(k)
 
-
-def _add(k1: Sequence[int], k2: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(k1, k2))
+    table = defaultdict(set)
+    table["D0", k_vec()].add(())
+    for s in A.modes:
+        table["D1", k_vec((-1, s))].add((abs(s),))
+        # (s, s') runs over both orders, which gives D2 both orders of (|a|, |b|)
+        for sp in A.modes:
+            table["D2", k_vec((-1, s), (-1, sp))].add((abs(s), abs(sp)))
+            table["D3", k_vec((-1, s), (1, sp))].add((abs(s), abs(sp)))
+    return MappingProxyType({key: frozenset(keys) for key, keys in table.items()})
 
 
 def classify_resonant(q: DivisorQuery, A: AdmissibleSet) -> bool:
-    """Combinatorial resonance test per kind.
-
-    D0: k = 0.  D1: k = -e_s with |a| = |s|.  D2: k = -e_s - e_s' with
-    {|a|, |b|} = {|s|, |s'|}.  D3: k = -e_s + e_s' with |a| = |s|, |b| = |s'|.
-    """
-    if q.kind == "D0":
-        return all(x == 0 for x in q.k)
-    if q.kind == "D1":
-        for s in A.modes:
-            if abs(q.a) == abs(s) and q.k == _neg(_unit(A, s)):
-                return True
-        return False
-    if q.kind == "D2":
-        target = sorted((abs(q.a), abs(q.b)))
-        for s in A.modes:
-            for sp in A.modes:
-                if sorted((abs(s), abs(sp))) == target and q.k == _neg(
-                    _add(_unit(A, s), _unit(A, sp))
-                ):
-                    return True
-        return False
-    # D3: a pairs with the -e_s entry, b with the +e_s' entry
-    for s in A.modes:
-        for sp in A.modes:
-            if abs(q.a) == abs(s) and abs(q.b) == abs(sp):
-                if q.k == _add(_neg(_unit(A, s)), _unit(A, sp)):
-                    return True
-    return False
+    """Combinatorial resonance test: q's index pattern is in the table of A."""
+    return _pattern_key(q.a, q.b) in resonant_patterns(A).get((q.kind, q.k), ())
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +175,6 @@ def _k_vectors(n: int, N: int) -> Iterator[tuple[int, ...]]:
             yield from rec(prefix + [v], budget - abs(v), dims_left - 1)
 
     yield from rec([], N, n)
-
-
-DEFAULT_RHO_EXPONENT = "1/(4((n+2)^2+1)(n+2))"
 
 
 def default_mode_cutoff(A: AdmissibleSet, N: int) -> int:
@@ -214,43 +201,76 @@ def scan_metadata(A: AdmissibleSet, kappa: float, N: int, S: int) -> dict:
     }
 
 
-def enumerate_queries(A: AdmissibleSet, N: int, S: int,
-                      kinds: Sequence[str] = KINDS) -> Iterator[DivisorQuery]:
-    """All queries with 0 < |k|_1 <= N and |a|, |b| <= S normal, plus the
-    k = 0 family for D3 (which has an unconditional 1/8 lower bound)."""
-    normals = [s for s in range(-S, S + 1) if A.is_normal(s)]
-    ks = list(_k_vectors(A.n, N))
-    if "D0" in kinds:
-        for k in ks:
-            yield DivisorQuery("D0", k)
-    if "D1" in kinds:
-        for k in ks:
-            for a in normals:
-                yield DivisorQuery("D1", k, a=a)
-    if "D2" in kinds:
-        for k in ks:
-            for a in normals:
-                for b in normals:
-                    yield DivisorQuery("D2", k, a=a, b=b)
-    if "D3" in kinds:
-        zero = tuple([0] * A.n)
-        for k in list(ks) + [zero]:
-            for a in normals:
-                for b in normals:
-                    if k == zero and abs(a) == abs(b):
-                        continue
-                    yield DivisorQuery("D3", k, a=a, b=b)
+class DivisorRange:
+    """The (k, a, b) range of a scan and its (a, b) weight tables, built once
+    per (A, N, S): k over 0 < |k|_1 <= N, plus k = 0 with |a| != |b| for D3;
+    a and b over the normal modes |s| <= S, indexing the tables by position
+    in `normals`.  weights[kind] holds divisor_weight over the kind's 2-D
+    table: (1, 1) for D0, (|normals|, 1) for D1, square for D2 and D3."""
+
+    def __init__(self, A: AdmissibleSet, N: int, S: int):
+        self.zero = (0,) * A.n
+        self.ks = list(_k_vectors(A.n, N))
+        self.normals = np.array(A.normal_modes(S), dtype=int)
+        abs_n = np.abs(self.normals)
+        w1 = np.maximum(abs_n, 1).astype(float)
+        self.weights = {"D0": np.ones((1, 1)), "D1": w1[:, None],
+                        "D2": w1[:, None] + w1[None, :],
+                        "D3": 1.0 + np.abs(abs_n[:, None] - abs_n[None, :])}
+        self.distinct = abs_n[:, None] != abs_n[None, :]
+        self.patterns = resonant_patterns(A)
+
+    def ks_of(self, kind: str) -> list[tuple[int, ...]]:
+        return self.ks + [self.zero] if kind == "D3" else self.ks
+
+    def rows(self, kind: str, k: tuple[int, ...]) -> np.ndarray:
+        """Mask of the rows of the kind's table that are in range at k."""
+        if kind == "D3" and k == self.zero:
+            return self.distinct
+        return np.ones(self.weights[kind].shape, dtype=bool)
+
+    def ab(self, kind: str, i: int, j: int) -> tuple[Optional[int], Optional[int]]:
+        """The (a, b) of row (i, j) of the kind's table."""
+        a = None if kind == "D0" else int(self.normals[i])
+        return a, (int(self.normals[j]) if kind in ("D2", "D3") else None)
+
+    def resonant(self, kind: str, k: tuple[int, ...]) -> frozenset:
+        """Resonant (|a|, |b|) keys of the kind at k; empty for most k."""
+        return self.patterns.get((kind, k), frozenset())
+
+
+def enumerate_queries(A: AdmissibleSet, N: int, S: int) -> Iterator[DivisorQuery]:
+    """One DivisorQuery per row of DivisorRange(A, N, S), in scan order.  The
+    scans do not build these; this serves callers that want query objects."""
+    rng = DivisorRange(A, N, S)
+    for kind in KINDS:
+        for k in rng.ks_of(kind):
+            for i, j in zip(*np.nonzero(rng.rows(kind, k))):
+                yield DivisorQuery(kind, k, *rng.ab(kind, i, j))
+
+
+def _values(kind: str, dot: float, lam: np.ndarray) -> np.ndarray:
+    """The kind's divisor table at one k, added in evaluate_divisor's order
+    so that each value is bitwise its scalar counterpart."""
+    if kind == "D0":
+        return np.full((1, 1), dot)
+    d1 = (dot + lam)[:, None]
+    if kind == "D1":
+        return d1
+    return d1 + lam[None, :] if kind == "D2" else d1 - lam[None, :]
 
 
 def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: int,
                       S: Optional[int] = None, certify: bool = False,
                       kinds: Sequence[str] = KINDS) -> list[DivisorReport]:
-    """Check |divisor| >= kappa * weight over the finite query range.
+    """Check |divisor| >= kappa * weight over DivisorRange(A, N, S).
 
-    Returns the violations only; an empty list certifies the bounds at this
-    resolution.  The k = 0 branch of D3 uses the unconditional constant 1/8,
-    so it is checked against max(kappa, 1/8) being unnecessary; it simply
-    participates with the same kappa bound (valid whenever kappa <= 1/8).
+    Returns the non-resonant violations, ordered by kind, k, a and b; an
+    empty list says that every bound in range holds at this mass in floating
+    point.  certify=True re-checks each reported violation in interval
+    arithmetic: certified=True means that the violation provably holds.  D3
+    at k = 0 is lambda_a - lambda_b >= (1 + ||a| - |b||) / 8 for |a| != |b|,
+    so those rows report nothing while kappa <= 1/8.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -260,55 +280,68 @@ def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: in
         S = default_mode_cutoff(A, N)
     if S < A.n_bound:
         raise ValueError("S must cover the tangential set")
+    rng = DivisorRange(A, N, S)
+    omega = fs.omega_vector(A)
+    lam = np.asarray(fs.lam(rng.normals), dtype=float)
+    dots = {k: float(np.dot(k, omega)) for k in rng.ks_of("D3")}
     violations = []
-    for q in enumerate_queries(A, N, S, kinds):
-        resonant = classify_resonant(q, A)
-        if resonant:
-            continue
-        value = evaluate_divisor(q, fs, A)
-        required = kappa * divisor_weight(q)
-        if abs(value) < required:
-            report = DivisorReport(q, value, False, required, False, mass=fs.mass)
-            if certify:
-                iv = evaluate_divisor_interval(q, fs.mass, A)
-                report.certified = iv.abs_upper() < required
-            violations.append(report)
+    for kind in (x for x in KINDS if x in kinds):
+        required = kappa * rng.weights[kind]
+        for k in rng.ks_of(kind):
+            values = _values(kind, dots[k], lam)
+            bad = rng.rows(kind, k) & (np.abs(values) < required)
+            for i, j in zip(*np.nonzero(bad)):
+                a, b = rng.ab(kind, i, j)
+                if _pattern_key(a, b) in rng.resonant(kind, k):
+                    continue
+                q = DivisorQuery(kind, k, a, b)
+                report = DivisorReport(q, float(values[i, j]), False,
+                                       float(required[i, j]), False, mass=fs.mass)
+                if certify:
+                    iv = evaluate_divisor_interval(q, fs.mass, A)
+                    report.certified = iv.abs_upper() < report.bound_required
+                violations.append(report)
     return violations
 
 
 def excluded_mass_scan(A: AdmissibleSet, kappa: float, N: int,
-                       S: Optional[int] = None, grid: int = 10 ** 4,
-                       kinds: Sequence[str] = KINDS) -> MeasureEstimate:
+                       S: Optional[int] = None, grid: int = 10 ** 4) -> MeasureEstimate:
     """Fraction of grid masses in [1,2] at which some lower bound fails.
 
-    Vectorized over the mass grid: each non-resonant query contributes a
-    violation mask; the excluded set is their union.
+    Walks DivisorRange(A, N, S) one non-resonant (k, a, b) row at a time,
+    each row vectorized over the mass grid; the excluded set is the union of
+    the rows' violation masks.
     """
     if S is None:
         S = default_mode_cutoff(A, N)
+    rng = DivisorRange(A, N, S)
     masses = _mass_grid(grid)
     omega_grid = np.stack([np.sqrt(a * a + masses) for a in A.modes])
-    lam_cache: dict[int, np.ndarray] = {}
-
-    def lam(s: int) -> np.ndarray:
-        if s not in lam_cache:
-            lam_cache[s] = np.sqrt(s * s + masses)
-        return lam_cache[s]
-
+    normals = [int(s) for s in rng.normals]
+    lam = [np.sqrt(s * s + masses) for s in normals]
     excluded = np.zeros(grid, dtype=bool)
-    for q in enumerate_queries(A, N, S, kinds):
-        if classify_resonant(q, A):
-            continue
-        value = np.tensordot(np.array(q.k, dtype=float), omega_grid, axes=1)
-        if q.kind in ("D1", "D2", "D3"):
-            value = value + lam(q.a)
-        if q.kind == "D2":
-            value = value + lam(q.b)
-        elif q.kind == "D3":
-            value = value - lam(q.b)
-        excluded |= np.abs(value) < kappa * divisor_weight(q)
+
+    def exclude(values: np.ndarray, weight: float) -> None:
+        np.logical_or(excluded, np.abs(values) < kappa * weight, out=excluded)
+
+    w1, w2, w3 = (rng.weights[kind] for kind in ("D1", "D2", "D3"))
+    for k in rng.ks_of("D3"):
+        dot = np.tensordot(np.array(k, dtype=float), omega_grid, axes=1)
+        nonzero, in_range3 = k != rng.zero, rng.rows("D3", k)
+        res1, res2, res3 = (rng.resonant(kind, k) for kind in ("D1", "D2", "D3"))
+        if nonzero:
+            exclude(dot, 1.0)
+        for i, a in enumerate(normals):
+            d1 = dot + lam[i]
+            if nonzero and (abs(a),) not in res1:
+                exclude(d1, w1[i, 0])
+            for j, b in enumerate(normals):
+                key = (abs(a), abs(b))
+                if nonzero and key not in res2:
+                    exclude(d1 + lam[j], w2[i, j])
+                if in_range3[i, j] and key not in res3:
+                    exclude(d1 - lam[j], w3[i, j])
     meta = scan_metadata(A, kappa, N, S)
-    n = A.n
     tau, iota = meta["tau_d3"], meta["iota_d3"]
     return MeasureEstimate(
         analytic_bound=float(kappa ** tau * N ** iota),

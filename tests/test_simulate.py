@@ -126,6 +126,13 @@ class TestIntegrator:
                                       integrator="implicit_midpoint"))
         assert np.max(np.abs(t_strang.xi[-1] - t_mid.xi[-1])) <= 1e-6
 
+    def test_final_partial_block_stored(self):
+        cfg = base_config(T=1.25, dt=1e-3, store_every=100)
+        traj = integrate(cfg)
+        assert traj.times[-1] == cfg.n_steps * cfg.dt
+        assert np.diff(traj.times)[-1] == pytest.approx(0.05)
+        assert len(traj.times) == len(traj.xi) == len(traj.energy) == 14
+
     def test_blowup_detected(self):
         # kick overshoot at large amplitude/step destabilizes the splitting
         # (the exact flow is bounded: the Hamiltonian is coercive)
@@ -157,6 +164,17 @@ class TestDiagnostics:
         traj = integrate(cfg)
         with pytest.raises(FrequencyExtractionError):
             extract_frequencies(traj, A1)
+
+    def test_aliased_spacing_raises(self):
+        # omega_1 = sqrt(2.3) ~ 1.517 allows a sample spacing up to ~2.07
+        omega = math.sqrt(2.3)
+        cfg = base_config(cutoff=4, nonlinearity_on=False, dt=0.02, T=450.0,
+                          store_every=100)
+        assert extract_frequencies(integrate(cfg), A1)[1] == pytest.approx(omega, abs=1e-8)
+        cfg = base_config(cutoff=4, nonlinearity_on=False, dt=0.02, T=450.0,
+                          store_every=110)
+        with pytest.raises(FrequencyExtractionError, match="aliases"):
+            extract_frequencies(integrate(cfg), A1)
 
     def test_doubling_action_doubles_shift(self):
         omega = math.sqrt(2.3)

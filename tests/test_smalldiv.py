@@ -11,13 +11,64 @@ from wavekam.smalldiv import (
     certify_lower_bound,
     classify_resonant,
     divisor_weight,
-    enumerate_queries,
     evaluate_divisor,
     evaluate_divisor_interval,
     excluded_mass_scan,
     scan_lower_bounds,
 )
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
+
+
+def k_range(n, N):
+    """Integer vectors with 0 < |k|_1 <= N, in lexicographic order."""
+    return [k for k in itertools.product(range(-N, N + 1), repeat=n)
+            if 0 < sum(abs(x) for x in k) <= N]
+
+
+def query_range(A, N, S):
+    """Every query a scan over (N, S) covers, in scan order, from plain loops:
+    0 < |k|_1 <= N for each kind, plus D3 at k = 0 with |a| != |b|."""
+    normals = [s for s in range(-S, S + 1) if s not in A.modes]
+    ks = k_range(A.n, N)
+    for k in ks:
+        yield DivisorQuery("D0", k)
+    for k in ks:
+        for a in normals:
+            yield DivisorQuery("D1", k, a=a)
+    for k in ks:
+        for a in normals:
+            for b in normals:
+                yield DivisorQuery("D2", k, a=a, b=b)
+    for k in ks + [(0,) * A.n]:
+        for a in normals:
+            for b in normals:
+                if any(k) or abs(a) != abs(b):
+                    yield DivisorQuery("D3", k, a=a, b=b)
+
+
+def brute_resonant(modes, kind, k, a, b):
+    """Independent resonance rule: plain loops over the index patterns."""
+    modes = tuple(sorted(modes))
+
+    def unit(s):
+        e = [0] * len(modes)
+        e[modes.index(s)] = 1
+        return tuple(e)
+
+    if kind == "D0":
+        return not any(k)
+    if kind == "D1":
+        return any(abs(a) == abs(s) and k == tuple(-x for x in unit(s))
+                   for s in modes)
+    if kind == "D2":
+        return any(
+            sorted((abs(a), abs(b))) == sorted((abs(s), abs(sp)))
+            and k == tuple(-u - v for u, v in zip(unit(s), unit(sp)))
+            for s in modes for sp in modes)
+    return any(
+        abs(a) == abs(s) and abs(b) == abs(sp)
+        and k == tuple(-u + v for u, v in zip(unit(s), unit(sp)))
+        for s in modes for sp in modes)
 
 
 def brute_force_violations(modes, m, kappa, N, S):
@@ -27,37 +78,23 @@ def brute_force_violations(modes, m, kappa, N, S):
     lam = lambda s: math.sqrt(s * s + m)
     omega = [lam(a) for a in modes]
     normals = [s for s in range(-S, S + 1) if s not in modes]
-    ks = [k for k in itertools.product(range(-N, N + 1), repeat=n)
-          if 0 < sum(abs(x) for x in k) <= N]
-
-    def unit(s):
-        e = [0] * n
-        e[modes.index(s)] = 1
-        return tuple(e)
 
     out = set()
-    for k in ks:
+    for k in k_range(n, N):
         dot = sum(ki * wi for ki, wi in zip(k, omega))
         if abs(dot) < kappa:
             out.add(("D0", k, None, None))
         for a in normals:
-            d1_res = any(abs(a) == abs(s) and k == tuple(-x for x in unit(s))
-                         for s in modes)
-            if not d1_res and abs(dot + lam(a)) < kappa * max(abs(a), 1):
+            if not brute_resonant(modes, "D1", k, a, None) and abs(
+                    dot + lam(a)) < kappa * max(abs(a), 1):
                 out.add(("D1", k, a, None))
             for b in normals:
-                d2_res = any(
-                    sorted((abs(a), abs(b))) == sorted((abs(s), abs(sp)))
-                    and k == tuple(-u - v for u, v in zip(unit(s), unit(sp)))
-                    for s in modes for sp in modes)
-                if not d2_res and abs(dot + lam(a) + lam(b)) < kappa * (
+                if not brute_resonant(modes, "D2", k, a, b) and abs(
+                        dot + lam(a) + lam(b)) < kappa * (
                         max(abs(a), 1) + max(abs(b), 1)):
                     out.add(("D2", k, a, b))
-                d3_res = any(
-                    abs(a) == abs(s) and abs(b) == abs(sp)
-                    and k == tuple(-u + v for u, v in zip(unit(s), unit(sp)))
-                    for s in modes for sp in modes)
-                if not d3_res and abs(dot + lam(a) - lam(b)) < kappa * (
+                if not brute_resonant(modes, "D3", k, a, b) and abs(
+                        dot + lam(a) - lam(b)) < kappa * (
                         1 + abs(abs(a) - abs(b))):
                     out.add(("D3", k, a, b))
     zero = tuple([0] * n)
@@ -131,9 +168,9 @@ class TestResonanceClassification:
         A = AdmissibleSet([1, 2])
         assert classify_resonant(DivisorQuery("D1", (-1, 0), a=-1), A)
         # D1 resonance requires a in the mirror set
-        for k in enumerate_queries(A, 2, 6, kinds=("D1",)):
-            if k.a == 5:
-                assert not classify_resonant(k, A)
+        for q in query_range(A, 2, 6):
+            if q.kind == "D1" and q.a == 5:
+                assert not classify_resonant(q, A)
 
     def test_d3_pattern(self):
         A = AdmissibleSet([1, 2])
@@ -144,7 +181,7 @@ class TestResonanceClassification:
         A = AdmissibleSet([0, 1, 3])
         masses = np.linspace(1, 2, 101)
         count = 0
-        for q in enumerate_queries(A, 2, 5):
+        for q in query_range(A, 2, 5):
             if not classify_resonant(q, A):
                 continue
             count += 1
@@ -220,6 +257,74 @@ class TestScans:
             iv = evaluate_divisor_interval(r.query, fs.mass, A)
             assert iv.lo <= r.value <= iv.hi
             assert r.certified == (iv.abs_upper() < r.bound_required)
+
+
+def reference_scan(A, fs, kappa, N, S):
+    """The per-query scan: one DivisorQuery, one resonance test and one
+    evaluate_divisor call per query, with each violation re-checked in
+    interval arithmetic."""
+    rows = []
+    for q in query_range(A, N, S):
+        if brute_resonant(A.modes, q.kind, q.k, q.a, q.b):
+            continue
+        value = evaluate_divisor(q, fs, A)
+        required = kappa * divisor_weight(q)
+        if abs(value) < required:
+            iv = evaluate_divisor_interval(q, fs.mass, A)
+            rows.append((q, value.hex(), required.hex(), iv.abs_upper() < required))
+    return rows
+
+
+def reference_excluded(A, kappa, N, S, grid):
+    """The per-query excluded-mass grid: one grid vector per query."""
+    masses = np.linspace(1.0, 2.0, grid)
+    omega_grid = np.stack([np.sqrt(a * a + masses) for a in A.modes])
+    lam = lambda s: np.sqrt(s * s + masses)
+    excluded = np.zeros(grid, dtype=bool)
+    for q in query_range(A, N, S):
+        if brute_resonant(A.modes, q.kind, q.k, q.a, q.b):
+            continue
+        value = np.tensordot(np.array(q.k, dtype=float), omega_grid, axes=1)
+        if q.kind != "D0":
+            value = value + lam(q.a)
+        if q.kind == "D2":
+            value = value + lam(q.b)
+        elif q.kind == "D3":
+            value = value - lam(q.b)
+        excluded |= np.abs(value) < kappa * divisor_weight(q)
+    return excluded
+
+
+@st.composite
+def scan_cases(draw):
+    modes = draw(st.sets(st.integers(-4, 4), min_size=1, max_size=3).filter(
+        lambda m: all(-j not in m for j in m if j != 0)))
+    A = AdmissibleSet(modes)
+    return (A, draw(st.floats(1.0, 2.0)), 10.0 ** draw(st.floats(-4.0, 0.0)),
+            draw(st.integers(1, 3)), draw(st.integers(A.n_bound, 8)))
+
+
+class TestScanMatchesPerQueryReference:
+    @settings(max_examples=25, deadline=None)
+    @given(scan_cases())
+    def test_scan_lower_bounds_bitwise(self, case):
+        A, m, kappa, N, S = case
+        fs = FrequencySystem(m)
+        reports = scan_lower_bounds(fs, A, kappa, N, S, certify=True)
+        assert all(not r.resonant and not r.satisfied and r.mass == m for r in reports)
+        got = [(r.query, r.value.hex(), r.bound_required.hex(), r.certified)
+               for r in reports]
+        assert got == reference_scan(A, fs, kappa, N, S)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scan_cases())
+    def test_excluded_mass_scan_matches_grid(self, case):
+        A, _, kappa, N, S = case
+        grid = 301
+        excluded = reference_excluded(A, kappa, N, S, grid)
+        est = excluded_mass_scan(A, kappa, N, S, grid=grid)
+        assert est.sampled_measure == float(np.mean(excluded))
+        assert est.boundary_cells == int(np.count_nonzero(excluded[1:] != excluded[:-1]))
 
 
 class TestExcludedMassScan:
