@@ -19,8 +19,8 @@ is a measured diagnostic, not a baked-in constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -121,47 +121,47 @@ def initial_state(cfg: SimConfig, rng: Optional[np.random.Generator] = None
 
 
 class _Spectral:
-    """Precomputed grids and transforms for one configuration."""
+    """Precomputed grids and transforms for one configuration.
+
+    The field's 2S+1 coefficients W_s = (xi_s + eta_{-s}) / sqrt(2 lambda_s)
+    sit at the head of an M-point spectrum, so one inverse transform gives
+    g = u e^{iSx} on the grid x_j = 2 pi j / M.  Cubing shifts every mode by
+    3S, so c_s(u^3) is coefficient s + 3S of g^3; M > 4S keeps that band
+    2S..4S clear of wrap-around and de-aliases the cubic term exactly.
+    States have shape (..., 2S+1), so a batch is a stack of rows.
+    """
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
         S = cfg.cutoff
         self.S = S
-        self.modes = np.arange(-S, S + 1)
-        self.lam = np.sqrt(self.modes.astype(float) ** 2 + cfg.mass)
-        self.M = 4 * S + 4          # >= 4S+1: cubic de-aliasing
+        self.lam = np.sqrt(np.arange(-S, S + 1).astype(float) ** 2 + cfg.mass)
+        self.M = 4 * S + 4
         self.kick_scale = 4.0 * np.sqrt(np.pi / self.lam)
-        self.w_scale = 1.0 / np.sqrt(2.0 * self.lam)
+        self.w_scale = 1.0 / np.sqrt(2.0 * self.lam) / math.sqrt(2.0 * math.pi)
+        self.unshift = np.exp(-1j * S * (2.0 * np.pi / self.M) * np.arange(self.M))
 
-    def field_coeffs(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Padded spectrum W with W[s] = (xi_s + eta_{-s}) / sqrt(2 lambda_s)."""
-        A = (xi + eta[::-1]) * self.w_scale
-        W = np.zeros(self.M, dtype=complex)
-        W[: self.S + 1] = A[self.S:]
-        W[self.M - self.S:] = A[: self.S]
-        return W
-
-    def grid_field(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.field_coeffs(xi, eta)) * (self.M / math.sqrt(2 * math.pi))
+    def shifted_field(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """g = u e^{iSx} on the M-point grid."""
+        return np.fft.ifft((xi + eta[..., ::-1]) * self.w_scale, n=self.M, norm="forward")
 
     def cubic_coeffs(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """c_s(u^3) for |s| <= S, index s + S."""
-        u = self.grid_field(xi, eta)
-        c = np.fft.fft(u * u * u) / self.M
-        return np.concatenate([c[self.M - self.S:], c[: self.S + 1]])
+        g = self.shifted_field(xi, eta)
+        return np.fft.fft(g * g * g, norm="forward")[..., 2 * self.S: 4 * self.S + 1]
 
-    def kick(self, xi: np.ndarray, eta: np.ndarray, h: float) -> None:
-        c = self.cubic_coeffs(xi, eta)
-        xi += 1j * h * self.kick_scale * c
-        eta -= 1j * h * self.kick_scale * c[::-1]
+    def kick(self, xi: np.ndarray, eta: np.ndarray, coef: np.ndarray) -> None:
+        """Exact nonlinear flow over time h, given coef = 1j * h * kick_scale."""
+        d = coef * self.cubic_coeffs(xi, eta)
+        xi += d
+        eta -= d[..., ::-1]
 
-    def energy(self, xi: np.ndarray, eta: np.ndarray, nonlinear: bool) -> float:
-        quad = np.sum(self.lam * xi * eta)
+    def energy(self, xi: np.ndarray, eta: np.ndarray, nonlinear: bool) -> np.ndarray:
+        quad = np.sum(self.lam * xi * eta, axis=-1)
         total = quad
         if nonlinear:
-            u = self.grid_field(xi, eta)
-            total = total + 2.0 * math.pi * np.mean(u ** 4)
-        return float(total.real)
+            u = self.shifted_field(xi, eta) * self.unshift
+            total = total + 2.0 * math.pi * np.mean(u ** 4, axis=-1)
+        return total.real
 
 
 def _rotation(spec: _Spectral, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -177,29 +177,62 @@ def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
     Aborts with BlowUpError (carrying the last good snapshot) if the state
     norm grows past 10x its initial value.
     """
+    starts = None if xi0 is None or eta0 is None else [(xi0, eta0)]
+    return integrate_batch([cfg], starts)[0]
+
+
+# SimConfig fields in which the members of one batch may differ
+_MEMBER_FIELDS = ("actions", "theta0", "perturb_scale", "seed")
+
+
+def integrate_batch(cfgs: Sequence[SimConfig],
+                    starts: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None
+                    ) -> list[TorusTrajectory]:
+    """integrate() for configurations that differ only in their initial
+    data: actions, theta0, perturb_scale and seed, or the (xi0, eta0)
+    pairs in starts.
+
+    The members advance as one (B, 2S+1) state, so each step makes one pair
+    of transforms for the whole batch; every member's trajectory is the one
+    integrate() gives for it alone.  BlowUpError reports the first member
+    that blows up.
+    """
+    cfg = cfgs[0]
+
+    def shared(c: SimConfig) -> tuple:
+        return tuple(getattr(c, f.name) for f in fields(c)
+                     if f.name not in _MEMBER_FIELDS)
+
+    if any(shared(c) != shared(cfg) for c in cfgs[1:]):
+        raise ValueError("batched configurations may differ only in "
+                         + ", ".join(_MEMBER_FIELDS))
+    if starts is None:
+        starts = [initial_state(c) for c in cfgs]
+    if len(starts) != len(cfgs):
+        raise ValueError("give one (xi0, eta0) start per configuration")
     spec = _Spectral(cfg)
-    if xi0 is None or eta0 is None:
-        xi, eta = initial_state(cfg)
-    else:
-        xi, eta = xi0.astype(complex).copy(), eta0.astype(complex).copy()
+    xi = np.array([x for x, _ in starts], dtype=complex)
+    eta = np.array([e for _, e in starts], dtype=complex)
     n_steps = cfg.n_steps
     n_samples = -(-n_steps // cfg.store_every) + 1
     tang_idx = np.array([a + cfg.cutoff for a in cfg.A.modes])
     times = np.empty(n_samples)
-    xis = np.empty((n_samples, 2 * cfg.cutoff + 1), dtype=complex)
+    xis = np.empty((len(cfgs), n_samples, 2 * cfg.cutoff + 1), dtype=complex)
     etas = np.empty_like(xis)
-    energies = np.empty(n_samples)
-    initial_norm = float(np.linalg.norm(xi))
+    energies = np.empty((len(cfgs), n_samples))
+    initial_norm = np.linalg.norm(xi, axis=-1)
 
     def store(i: int, t: float) -> None:
         times[i] = t
-        xis[i] = xi
-        etas[i] = eta
-        energies[i] = spec.energy(xi, eta, cfg.nonlinearity_on)
+        xis[:, i] = xi
+        etas[:, i] = eta
+        energies[:, i] = spec.energy(xi, eta, cfg.nonlinearity_on)
 
     store(0, 0.0)
     dt = cfg.dt
     rot, rot_c = _rotation(spec, dt)
+    kick_full = 1j * dt * spec.kick_scale
+    kick_half = 1j * (dt / 2) * spec.kick_scale
     sample = 1
     step = 0
     nonlinear = cfg.nonlinearity_on
@@ -207,32 +240,40 @@ def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
         block = min(cfg.store_every, n_steps - step)
         if cfg.integrator == "strang_split":
             if nonlinear:
-                spec.kick(xi, eta, dt / 2)
+                spec.kick(xi, eta, kick_half)
                 for _ in range(block - 1):
                     xi *= rot
                     eta *= rot_c
-                    spec.kick(xi, eta, dt)
+                    spec.kick(xi, eta, kick_full)
                 xi *= rot
                 eta *= rot_c
-                spec.kick(xi, eta, dt / 2)
+                spec.kick(xi, eta, kick_half)
             else:
                 phase = np.exp(1j * spec.lam * dt * block)
                 xi *= phase
                 eta *= phase.conj()
         else:
-            for _ in range(block):
-                xi, eta = _implicit_midpoint_step(spec, xi, eta, dt, nonlinear)
+            # the fixed-point iteration stops on its own residual, so each
+            # member iterates alone
+            for b in range(len(cfgs)):
+                for _ in range(block):
+                    xi[b], eta[b] = _implicit_midpoint_step(spec, xi[b], eta[b],
+                                                            dt, nonlinear)
         step += block
         t = step * dt
-        norm = float(np.linalg.norm(xi))
-        if norm > 10.0 * max(initial_norm, 1e-300):
-            raise BlowUpError(t, norm, initial_norm,
-                              (xis[sample - 1].copy(), etas[sample - 1].copy()))
+        norm = np.linalg.norm(xi, axis=-1)
+        over = np.flatnonzero(norm > 10.0 * np.maximum(initial_norm, 1e-300))
+        if over.size:
+            b = over[0]
+            raise BlowUpError(t, float(norm[b]), float(initial_norm[b]),
+                              (xis[b, sample - 1].copy(), etas[b, sample - 1].copy()))
         store(sample, t)
         sample += 1
-    actions = np.abs(xis[:, tang_idx]) ** 2
-    phases = np.angle(xis[:, tang_idx])
-    return TorusTrajectory(cfg, times, xis, etas, energies, actions, phases)
+    actions = np.abs(xis[:, :, tang_idx]) ** 2
+    phases = np.angle(xis[:, :, tang_idx])
+    return [TorusTrajectory(c, times.copy(), xis[b], etas[b], energies[b],
+                            actions[b], phases[b])
+            for b, c in enumerate(cfgs)]
 
 
 def _implicit_midpoint_step(spec: _Spectral, xi: np.ndarray, eta: np.ndarray,

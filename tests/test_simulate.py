@@ -10,8 +10,10 @@ from wavekam.simulate import (
     extract_frequencies,
     initial_state,
     integrate,
+    integrate_batch,
     linear_field_energy,
     linear_torus_solution,
+    _Spectral,
     torus_distance,
 )
 from wavekam.spectrum import AdmissibleSet
@@ -73,6 +75,31 @@ class TestLinearTorus:
     def test_positive_actions_required(self):
         with pytest.raises(ValueError):
             linear_torus_solution(A1, {1: 0.0}, 1.3, {}, 0.0, np.array([0.0]))
+
+
+class TestSpectralKernel:
+    """The collocation kernel against direct sums over Fourier modes."""
+
+    @pytest.mark.parametrize("cutoff", [1, 3, 8])
+    def test_cubic_coeffs_and_energy_match_convolution(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        size = 2 * cutoff + 1
+        # xi and eta independent: the kernel must not assume a real field
+        xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        eta = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        cfg = base_config(cutoff=cutoff)
+        spec = _Spectral(cfg)
+        lam = np.sqrt(np.arange(-cutoff, cutoff + 1) ** 2 + cfg.mass)
+        # u = sum_s W_s e^{isx} / sqrt(2 pi); c_s(u^3) = (2 pi)^{-3/2} (W*W*W)_s
+        W = (xi + eta[::-1]) / np.sqrt(2.0 * lam)
+        WW = np.convolve(W, W)
+        cubic = np.convolve(WW, W)[2 * cutoff: 4 * cutoff + 1] / (2.0 * math.pi) ** 1.5
+        assert np.max(np.abs(spec.cubic_coeffs(xi, eta) - cubic)) <= 1e-13 * np.max(np.abs(cubic))
+        # int u^4 dx = (2 pi)^{-1} (W*W*W*W)_0
+        quartic = np.convolve(WW, WW)[4 * cutoff] / (2.0 * math.pi)
+        energy = np.sum(lam * xi * eta) + quartic
+        assert spec.energy(xi, eta, True) == pytest.approx(energy.real, rel=1e-13,
+                                                           abs=1e-13 * abs(quartic))
 
 
 class TestIntegrator:
@@ -143,6 +170,49 @@ class TestIntegrator:
         assert err.value.norm > 10 * err.value.initial_norm
         assert err.value.last_state is not None
 
+    def test_blowup_reports_first_failing_member(self):
+        stable = SimConfig(cutoff=8, mass=1.3, A=A1, actions={1: 1e-3}, dt=0.06,
+                           T=50.0, nonlinearity_on=True, store_every=5)
+        unstable = SimConfig(cutoff=8, mass=1.3, A=A1, actions={1: 1000.0}, dt=0.06,
+                             T=50.0, nonlinearity_on=True, store_every=5)
+        with pytest.raises(BlowUpError) as alone:
+            integrate(unstable)
+        with pytest.raises(BlowUpError) as batched:
+            integrate_batch([stable, unstable])
+        assert batched.value.t == alone.value.t
+        assert batched.value.initial_norm == pytest.approx(alone.value.initial_norm, rel=1e-15)
+        assert np.array_equal(batched.value.last_state[0], alone.value.last_state[0])
+
+    @pytest.mark.parametrize("integrator,nonlinear", [("strang_split", True),
+                                                      ("strang_split", False),
+                                                      ("implicit_midpoint", True)])
+    def test_batch_members_equal_single_runs(self, integrator, nonlinear):
+        A = AdmissibleSet([0, 1])
+        cfgs = [SimConfig(cutoff=8, mass=1.3, A=A, actions={0: I, 1: 2 * I},
+                          theta0={1: theta}, dt=1e-3, T=1.05, store_every=100,
+                          integrator=integrator, nonlinearity_on=nonlinear,
+                          perturb_scale=scale, seed=seed)
+                for I, theta, scale, seed in ((1e-3, 0.0, 0.0, 0),
+                                              (4e-3, 0.7, 1e-4, 3),
+                                              (2e-2, -1.0, 1e-3, 5))]
+        for cfg, member in zip(cfgs, integrate_batch(cfgs)):
+            alone = integrate(cfg)
+            for name in ("times", "xi", "eta", "energy", "actions", "phases"):
+                assert np.array_equal(getattr(member, name), getattr(alone, name)), name
+
+    def test_batch_given_starts(self):
+        cfg = base_config(T=1.0)
+        xi0, eta0 = initial_state(base_config(actions={1: 2e-3}))
+        alone = integrate(cfg, xi0=xi0, eta0=eta0)
+        member = integrate_batch([cfg, cfg], [initial_state(cfg), (xi0, eta0)])[1]
+        assert np.array_equal(member.xi, alone.xi)
+        with pytest.raises(ValueError):
+            integrate_batch([cfg, cfg], [(xi0, eta0)])
+
+    def test_batch_rejects_mismatched_configs(self):
+        with pytest.raises(ValueError, match="differ only in"):
+            integrate_batch([base_config(), base_config(dt=5e-4)])
+
     def test_perturbation_seed_stays_bounded(self):
         cfg = base_config(T=30.0, perturb_scale=1e-3 * 1e-2, seed=5)
         traj = integrate(cfg)
@@ -179,10 +249,9 @@ class TestDiagnostics:
     def test_doubling_action_doubles_shift(self):
         omega = math.sqrt(2.3)
         shifts = []
-        for nu in (1e-3, 2e-3):
-            cfg = base_config(cutoff=24, T=450.0, dt=5e-4, store_every=100,
-                              actions={1: nu})
-            traj = integrate(cfg)
+        cfgs = [base_config(cutoff=24, T=450.0, dt=5e-4, store_every=100,
+                            actions={1: nu}) for nu in (1e-3, 2e-3)]
+        for traj in integrate_batch(cfgs):
             freqs = extract_frequencies(traj, A1)
             shifts.append(freqs[1] - omega)
         assert shifts[1] / shifts[0] == pytest.approx(2.0, rel=0.1)
@@ -209,10 +278,9 @@ class TestDiagnostics:
         # fast as the nu^(4/5) claim (measured trend is ~ nu^(3/2))
         nus = (1e-3, 4e-3, 1.6e-2)
         dists = []
-        for nu in nus:
-            cfg = base_config(cutoff=32, T=200.0, dt=5e-4, store_every=100,
-                              actions={1: nu})
-            traj = integrate(cfg)
+        cfgs = [base_config(cutoff=32, T=200.0, dt=5e-4, store_every=100,
+                            actions={1: nu}) for nu in nus]
+        for nu, traj in zip(nus, integrate_batch(cfgs)):
             dists.append(torus_distance(traj, {1: nu}, 1.3, alpha=1.0,
                                         n_samples=40))
         slope = float(np.polyfit(np.log(nus), np.log(dists), 1)[0])
