@@ -4,63 +4,3 @@ the order-4 Birkhoff normal form, KAM-type hypothesis checks, and symplectic
 spectral simulation of the truncated system."""
 
 __version__ = "0.1.0"
-
-from .spectrum import (
-    AdmissibleSet,
-    FrequencySystem,
-    MeasureEstimate,
-    frequency,
-    frequency_derivative,
-    is_admissible,
-    nrom_excluded_bound,
-    sublevel_measure,
-    vandermonde_closed_form,
-    vandermonde_determinant,
-    volume_pick,
-)
-from .smalldiv import (
-    DivisorQuery,
-    DivisorReport,
-    classify_resonant,
-    evaluate_divisor,
-    excluded_mass_scan,
-    scan_lower_bounds,
-)
-from .polyham import (
-    Monomial,
-    NormParams,
-    PhasePoint,
-    PolyHamiltonian,
-    bracket_with_h2,
-    build_h2,
-    build_interaction,
-    build_p4,
-    convolution,
-    gradient,
-    hessian,
-    lie_transform,
-    mono,
-    poisson_bracket,
-    weighted_norm,
-)
-from .birkhoff import (
-    NearResonanceError,
-    NormalFormResult,
-    RescaledNormalForm,
-    det_m_closed_form,
-    frequency_matrix,
-    rescale,
-    resonance_membership,
-    solve_homological,
-    verify_zminus_vanishing,
-)
-from .kamcheck import HypothesisReport, check_a1, check_transversality, melnikov_scan
-from .simulate import (
-    BlowUpError,
-    SimConfig,
-    TorusTrajectory,
-    extract_frequencies,
-    integrate,
-    linear_torus_solution,
-    torus_distance,
-)

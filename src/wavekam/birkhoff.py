@@ -217,9 +217,6 @@ class ZVanishingReport:
     def all_empty(self) -> bool:
         return not self.survivors
 
-    def non_empty_classes(self) -> list[int]:
-        return sorted(r for r, (_, _, na) in self.counts.items() if na > 0)
-
 
 def verify_zminus_vanishing(nf: NormalFormResult, A: ModeSetLike) -> ZVanishingReport:
     """Partition the resonant 2-2 monomials by tangential count r in {2,3,4}
@@ -269,7 +266,12 @@ def z4_action_coefficient_table(nf: NormalFormResult, A: ModeSetLike) -> dict[tu
 # ---------------------------------------------------------------------------
 
 def frequency_matrix(fs: FrequencySystem, A: AdmissibleSet) -> np.ndarray:
-    """M[k, l] = (3/2pi)(4 - 3 delta_{l,k}) / (lambda_k lambda_l); symmetric."""
+    """M[k, l] = (3/2pi)(4 - 3 delta_{l,k}) / (lambda_k lambda_l); symmetric.
+
+    The one closed form of the frequency-modulation matrix: the modulation
+    law omega' = omega + M I, the rescaled map Omega(rho) and the
+    r-quadratic block (nu/2) r^T M r of the rescaled perturbation all read it.
+    """
     lam = fs.omega_vector(A)
     n = A.n
     M = np.empty((n, n))
@@ -297,9 +299,10 @@ class JetReport:
     """Sizes of the order-(<=2) jet of the rescaled perturbation at r = zeta = 0.
 
     Component norms are l1 sums of absolute coefficients (an upper bound for
-    the sup over real angles).  r2_block_norm is the max entry of the exact
-    r-quadratic coefficient matrix, the O(nu) leading part of f; the jet
-    proper is O(nu^(3/2)) once the degree-6 remainder is included.
+    the sup over real angles).  r2_block_norm is nu max|M| / 2, the largest
+    coefficient of the r-quadratic block (nu/2) r^T M r, which is the O(nu)
+    leading part of f; the jet proper is O(nu^(3/2)) once the degree-6
+    remainder is included.
     """
 
     value_norm: float
@@ -331,14 +334,8 @@ class RescaledNormalForm:
     rho: np.ndarray
     M: np.ndarray
     cutoff: int
-    r2_matrix: np.ndarray          # coefficient of r_l r_a in f, times 1/nu
     jet: Optional[JetReport]
     lambda_shift_constant: float   # C with |Lambda_a - lambda_a| <= C nu / <a>
-
-    @property
-    def Omega(self) -> dict[int, float]:
-        vec = self.omega_of(self.rho)
-        return {a: float(v) for a, v in zip(self.A.modes, vec)}
 
     def omega_of(self, rho: Optional[np.ndarray] = None) -> np.ndarray:
         rho = self.rho if rho is None else np.asarray(rho, dtype=float)
@@ -350,10 +347,6 @@ class RescaledNormalForm:
         shift = (3.0 / math.pi) * float(np.sum(rho / lam_t))
         lam_s = self.fs.lam(s)
         return lam_s + self.nu * shift / lam_s
-
-    def frequency_shift_constant(self) -> float:
-        """Reported C for |Lambda_a - lambda_a| <= C nu |a|^-1 over rho in [1,2]^A."""
-        return self.lambda_shift_constant
 
     def quadratic_block(self, a: int, rho: Optional[np.ndarray] = None) -> np.ndarray:
         lam = float(self.lambda_of(a, rho))
@@ -402,10 +395,11 @@ def rescale(nf: NormalFormResult, fs: FrequencySystem, A: AdmissibleSet, nu: flo
             rho: Sequence[float]) -> RescaledNormalForm:
     """Rescaled normal form around the torus with actions I = nu rho.
 
-    rho lies in [1,2]^A.  The perturbation decomposes into the exact
-    r-quadratic block, the r (xi eta) cross block, and the scaled quartic tail
-    and degree-6 remainder; their jet at r = zeta = 0 is extracted
-    symbolically (normal-factor count <= 2).
+    rho lies in [1,2]^A.  The perturbation decomposes into the r-quadratic
+    block (nu/2) r^T M r, the r (xi eta) cross block, and the scaled quartic
+    tail and degree-6 remainder.  The jet reports the first two by their
+    largest coefficients and extracts the jet of the last two at
+    r = zeta = 0 symbolically (normal-factor count <= 2).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -416,11 +410,6 @@ def rescale(nf: NormalFormResult, fs: FrequencySystem, A: AdmissibleSet, nu: flo
         raise ValueError("rho must lie in [1, 2]^A")
     lam_t = fs.omega_vector(A)
     M = frequency_matrix(fs, A)
-    r2 = np.empty((A.n, A.n))
-    for i in range(A.n):
-        for j in range(A.n):
-            delta = 1.0 if i == j else 0.0
-            r2[i, j] = (3.0 / (4.0 * math.pi)) * (4.0 - 3.0 * delta) / (lam_t[i] * lam_t[j])
     modes = frozenset(A.modes)
     rho_map = {a: float(r) for a, r in zip(A.modes, rho)}
     q4_jet = _jet_from_polynomial(nf.Q4, modes, nu, rho_map)
@@ -430,7 +419,7 @@ def rescale(nf: NormalFormResult, fs: FrequencySystem, A: AdmissibleSet, nu: flo
         grad_r_norm=q4_jet[1] + r6_jet[1],
         grad_zeta_norm=q4_jet[2] + r6_jet[2],
         hess_zeta_norm=q4_jet[3] + r6_jet[3],
-        r2_block_norm=nu * float(np.max(np.abs(r2))),
+        r2_block_norm=nu * float(np.max(np.abs(M))) / 2.0,
         r_zeta_norm=nu * (3.0 / math.pi) * float(np.max(1.0 / lam_t)),
         q4_jet_norm=sum(q4_jet),
         r6_jet_norm=sum(r6_jet),
@@ -443,7 +432,6 @@ def rescale(nf: NormalFormResult, fs: FrequencySystem, A: AdmissibleSet, nu: flo
         rho=rho,
         M=M,
         cutoff=nf.cutoff,
-        r2_matrix=r2,
         jet=jet,
         lambda_shift_constant=shift_c,
     )

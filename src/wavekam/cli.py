@@ -93,8 +93,20 @@ def _emit_manifest(args: argparse.Namespace, command: str) -> dict:
     return manifest
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Merge a JSON config document under the flags (flags win)."""
+def _given_flags(argv: Optional[list[str]]) -> set[str]:
+    """Destinations of the flags given on the command line, found by parsing
+    argv again with every default suppressed."""
+    parser = build_parser()
+    for sub in parser._wavekam_subparsers.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  argv: Optional[list[str]]) -> argparse.Namespace:
+    """Merge a JSON config document under the flags: a flag given in argv
+    wins over the document, even when it repeats the flag's default."""
     path = getattr(args, "config", None) or getattr(args, "from_manifest", None)
     if not path:
         return args
@@ -103,12 +115,11 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     doc.pop("command", None)
     doc.pop("version", None)
     doc.pop("run_id", None)
-    sub = parser._wavekam_subparsers[args.command]
-    defaults = {a.dest: a.default for a in sub._actions}
+    given = _given_flags(argv)
     for key, value in doc.items():
         if not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
-        if getattr(args, key) == defaults.get(key):
+        if key not in given:
             setattr(args, key, value)
     return args
 
@@ -138,6 +149,14 @@ def cmd_divisors(args: argparse.Namespace) -> int:
     try:
         A = AdmissibleSet(args.modes)
         fs = FrequencySystem(args.mass)
+        if args.kappa <= 0:
+            raise ValueError(f"--kappa must be positive, got {args.kappa!r}")
+        if args.kmax < 1:
+            raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+        if args.smax is not None and args.smax < A.n_bound:
+            raise ValueError(f"--smax must cover the tangential set, got {args.smax}")
+        if args.grid < 0:
+            raise ValueError(f"--grid must be >= 0, got {args.grid}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -224,6 +243,16 @@ def cmd_kamcheck(args: argparse.Namespace) -> int:
         fs = FrequencySystem(args.mass)
         if A.n > 4 and not args.force:
             raise ValueError("tangential dimension > 4 requires --force")
+        if args.nu <= 0:
+            raise ValueError(f"--nu must be positive, got {args.nu!r}")
+        if args.rho_grid is not None and args.rho_grid < 1:
+            raise ValueError(f"--rho-grid must be >= 1, got {args.rho_grid}")
+        kappas = list(args.kappa_sweep or [])
+        if args.hypothesis in ("a3", "all"):
+            kappas.append(args.kappa)
+        for kappa in kappas:
+            if not 0.0 < kappa < args.nu:
+                raise ValueError(f"kappa {kappa!r} must lie in (0, nu = {args.nu!r})")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -464,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
+    args = _apply_config(args, parser, argv)
     return args.func(args)
 
 

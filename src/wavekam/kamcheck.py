@@ -121,18 +121,6 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
     )
 
 
-def _resonant_shift_formula(rnf: RescaledNormalForm, s: int, rho: np.ndarray) -> float:
-    """omega-tilde_s - lambda-tilde_s = (3/2pi)(1/lambda_s) sum_l (2 - 3 delta_{l,s}) rho_l / lambda_l."""
-    fs = rnf.fs
-    lam_t = fs.omega_vector(rnf.A)
-    lam_s = float(fs.lam(s))
-    total = 0.0
-    for l, lam_l, r in zip(rnf.A.modes, lam_t, rho):
-        delta = 1.0 if l == s else 0.0
-        total += (2.0 - 3.0 * delta) * r / lam_l
-    return (3.0 / (2.0 * math.pi)) * total / lam_s
-
-
 def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
                          gamma_exponent: float = 0.25,
                          points_per_dim: Optional[int] = None,

@@ -43,10 +43,6 @@ class Monomial:
     def xi_exponents(self) -> dict[int, int]:
         return dict(Counter(self.xi))
 
-    @property
-    def eta_exponents(self) -> dict[int, int]:
-        return dict(Counter(self.eta))
-
     def conjugate(self) -> "Monomial":
         """Swap xi and eta roles (complex conjugation on the real subspace)."""
         return Monomial(self.eta, self.xi)
@@ -251,12 +247,6 @@ class PhasePoint:
     def eta_of(self, s: int) -> complex:
         return self.eta[s + self.cutoff]
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.eta - self.xi.conj())) <= tol)
-
-    def reality_defect(self) -> float:
-        return float(np.max(np.abs(self.eta - self.xi.conj())))
-
     def modes(self) -> np.ndarray:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
@@ -368,8 +358,7 @@ def bracket_with_h2(f: PolyHamiltonian, fs: FrequencySystem) -> PolyHamiltonian:
     bracket against build_h2 exactly."""
     out: dict[Monomial, complex] = {}
     for m, c in f:
-        d = sum(float(fs.lam(s)) for s in m.xi) - sum(float(fs.lam(s)) for s in m.eta)
-        new = 1j * d * c
+        new = 1j * monomial_divisor(m, fs) * c
         if new != 0:
             out[m] = new
     return PolyHamiltonian(f.cutoff, out)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectrum import AdmissibleSet, FrequencySystem, check_mass
+from .spectrum import AdmissibleSet, FrequencySystem
 
 INTEGRATORS = ("strang_split", "implicit_midpoint")
 
@@ -57,7 +57,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_mass(self.mass)
+        fs = FrequencySystem(self.mass)
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.cutoff < self.A.n_bound:
@@ -66,7 +66,7 @@ class SimConfig:
             raise ValueError("actions must be given exactly on the tangential modes")
         if any(v <= 0 for v in self.actions.values()):
             raise ValueError("actions must be positive")
-        lam_max = math.sqrt(self.cutoff ** 2 + self.mass)
+        lam_max = float(fs.lam(self.cutoff))
         if self.dt * lam_max > 0.5:
             raise ValueError(
                 f"resolution gate: dt * max frequency = {self.dt * lam_max:.3f} > 0.5")
@@ -101,19 +101,24 @@ class TorusTrajectory:
         return (s * np.abs(self.xi) ** 2).sum(axis=1)
 
 
+def _torus_point(A: AdmissibleSet, I: dict[int, float], theta: dict[int, float],
+                 cutoff: int) -> np.ndarray:
+    """xi on the torus: xi_a = sqrt(I_a) e^{i theta_a}, zero normal modes."""
+    xi = np.zeros(2 * cutoff + 1, dtype=complex)
+    for a in A.modes:
+        xi[a + cutoff] = math.sqrt(I[a]) * np.exp(1j * theta.get(a, 0.0))
+    return xi
+
+
 def initial_state(cfg: SimConfig, rng: Optional[np.random.Generator] = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Point on the torus: xi_a = sqrt(I_a) e^{i theta_a}, zero normal modes,
     eta = conj(xi); optionally seeded normal-mode noise."""
-    size = 2 * cfg.cutoff + 1
-    xi = np.zeros(size, dtype=complex)
-    for a in cfg.A.modes:
-        theta = cfg.theta0.get(a, 0.0)
-        xi[a + cfg.cutoff] = math.sqrt(cfg.actions[a]) * np.exp(1j * theta)
+    xi = _torus_point(cfg.A, cfg.actions, cfg.theta0, cfg.cutoff)
     if cfg.perturb_scale > 0:
         rng = rng or np.random.default_rng(cfg.seed)
-        noise = cfg.perturb_scale * (rng.standard_normal(size)
-                                     + 1j * rng.standard_normal(size))
+        noise = cfg.perturb_scale * (rng.standard_normal(xi.size)
+                                     + 1j * rng.standard_normal(xi.size))
         for a in cfg.A.modes:
             noise[a + cfg.cutoff] = 0.0
         xi = xi + noise
@@ -134,7 +139,7 @@ class _Spectral:
     def __init__(self, cfg: SimConfig):
         S = cfg.cutoff
         self.S = S
-        self.lam = np.sqrt(np.arange(-S, S + 1).astype(float) ** 2 + cfg.mass)
+        self.lam = FrequencySystem(cfg.mass).lam(np.arange(-S, S + 1))
         self.M = 4 * S + 4
         self.kick_scale = 4.0 * np.sqrt(np.pi / self.lam)
         self.w_scale = 1.0 / np.sqrt(2.0 * self.lam) / math.sqrt(2.0 * math.pi)
@@ -317,13 +322,13 @@ def linear_torus_solution(A: AdmissibleSet, I: dict[int, float], m: float,
         (e^{i (theta_a + t omega_a)} phi_a(x) + c.c.) / sqrt(2 lambda_a),
     phi_a(x) = e^{iax} / sqrt(2 pi).
     """
-    check_mass(m)
+    fs = FrequencySystem(m)
     x = np.asarray(x, dtype=float)
     u = np.zeros_like(x)
     for a in A.modes:
         if I[a] <= 0:
             raise ValueError("actions must be positive")
-        lam = math.sqrt(a * a + m)
+        lam = float(fs.lam(a))
         theta = theta0.get(a, 0.0) + t * lam
         amp = math.sqrt(I[a]) / math.sqrt(2.0 * lam) / math.sqrt(2.0 * math.pi)
         u += 2.0 * amp * np.cos(a * x + theta)
@@ -334,12 +339,13 @@ def linear_field_energy(A: AdmissibleSet, I: dict[int, float], m: float,
                         theta0: dict[int, float], t: float,
                         n_grid: int = 2048) -> float:
     """Quadrature of (u_t^2 + u_x^2 + m u^2)/2 over the circle at time t."""
+    fs = FrequencySystem(m)
     x = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     u = np.zeros_like(x)
     ut = np.zeros_like(x)
     ux = np.zeros_like(x)
     for a in A.modes:
-        lam = math.sqrt(a * a + m)
+        lam = float(fs.lam(a))
         theta = theta0.get(a, 0.0) + t * lam
         amp = 2.0 * math.sqrt(I[a]) / math.sqrt(2.0 * lam) / math.sqrt(2.0 * math.pi)
         u += amp * np.cos(a * x + theta)
@@ -390,20 +396,9 @@ def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet,
     return out
 
 
-def _state_field_coeffs(xi: np.ndarray, eta: np.ndarray, cutoff: int,
-                        m: float) -> np.ndarray:
-    modes = np.arange(-cutoff, cutoff + 1)
-    lam = np.sqrt(modes.astype(float) ** 2 + m)
+def _field_coeffs(xi: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Fourier coefficients (xi_s + eta_{-s}) / sqrt(2 lambda_s) / sqrt(2 pi) of u."""
     return (xi + eta[::-1]) / np.sqrt(2.0 * lam) / math.sqrt(2.0 * math.pi)
-
-
-def _torus_field_coeffs(A: AdmissibleSet, I: dict[int, float], m: float,
-                        theta: dict[int, float], cutoff: int) -> np.ndarray:
-    size = 2 * cutoff + 1
-    xi = np.zeros(size, dtype=complex)
-    for a in A.modes:
-        xi[a + cutoff] = math.sqrt(I[a]) * np.exp(1j * theta.get(a, 0.0))
-    return _state_field_coeffs(xi, xi.conj(), cutoff, m)
 
 
 def torus_distance(traj: TorusTrajectory, I: dict[int, float], m: float,
@@ -420,15 +415,17 @@ def torus_distance(traj: TorusTrajectory, I: dict[int, float], m: float,
     cfg = traj.config
     cutoff = cfg.cutoff
     modes = np.arange(-cutoff, cutoff + 1)
+    lam = FrequencySystem(m).lam(modes)
     weight = np.maximum(np.abs(modes), 1).astype(float) ** (2.0 * alpha)
     stride = max(1, len(traj.times) // n_samples)
     worst = 0.0
     for idx in range(0, len(traj.times), stride):
-        state_coeffs = _state_field_coeffs(traj.xi[idx], traj.eta[idx], cutoff, m)
+        state_coeffs = _field_coeffs(traj.xi[idx], traj.eta[idx], lam)
 
         def dist(theta_vec: np.ndarray) -> float:
             theta = {a: th for a, th in zip(cfg.A.modes, theta_vec)}
-            ref = _torus_field_coeffs(cfg.A, I, m, theta, cutoff)
+            xi = _torus_point(cfg.A, I, theta, cutoff)
+            ref = _field_coeffs(xi, xi.conj(), lam)
             return math.sqrt(float(np.sum(np.abs(state_coeffs - ref) ** 2 * weight)))
 
         theta_seed = np.array([np.angle(traj.xi[idx][a + cutoff]) for a in cfg.A.modes])

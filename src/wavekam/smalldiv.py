@@ -23,7 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -261,8 +261,7 @@ def _values(kind: str, dot: float, lam: np.ndarray) -> np.ndarray:
 
 
 def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: int,
-                      S: Optional[int] = None, certify: bool = False,
-                      kinds: Sequence[str] = KINDS) -> list[DivisorReport]:
+                      S: Optional[int] = None, certify: bool = False) -> list[DivisorReport]:
     """Check |divisor| >= kappa * weight over DivisorRange(A, N, S).
 
     Returns the non-resonant violations, ordered by kind, k, a and b; an
@@ -285,7 +284,7 @@ def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: in
     lam = np.asarray(fs.lam(rng.normals), dtype=float)
     dots = {k: float(np.dot(k, omega)) for k in rng.ks_of("D3")}
     violations = []
-    for kind in (x for x in KINDS if x in kinds):
+    for kind in KINDS:
         required = kappa * rng.weights[kind]
         for k in rng.ks_of(kind):
             values = _values(kind, dots[k], lam)
@@ -315,10 +314,10 @@ def excluded_mass_scan(A: AdmissibleSet, kappa: float, N: int,
     if S is None:
         S = default_mode_cutoff(A, N)
     rng = DivisorRange(A, N, S)
-    masses = _mass_grid(grid)
-    omega_grid = np.stack([np.sqrt(a * a + masses) for a in A.modes])
+    lam_grid = FrequencySystem(_mass_grid(grid)).lam
+    omega_grid = lam_grid(np.array(A.modes)[:, None])
     normals = [int(s) for s in rng.normals]
-    lam = [np.sqrt(s * s + masses) for s in normals]
+    lam = list(lam_grid(rng.normals[:, None]))  # rows index faster from a list
     excluded = np.zeros(grid, dtype=bool)
 
     def exclude(values: np.ndarray, weight: float) -> None:

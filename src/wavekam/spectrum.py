@@ -18,22 +18,25 @@ MASS_MIN = 1.0
 MASS_MAX = 2.0
 
 
-def check_mass(m: float) -> float:
-    """Validate the mass parameter; only m in [1, 2] is supported."""
-    m = float(m)
-    if not (MASS_MIN <= m <= MASS_MAX):
-        raise ValueError(f"mass must lie in [{MASS_MIN}, {MASS_MAX}], got {m}")
-    return m
+def check_mass(m):
+    """Validate the mass parameter, a float or an array of masses; only
+    masses in [1, 2] are supported."""
+    masses = np.asarray(m, dtype=float)
+    if masses.ndim == 0:
+        masses = float(masses)
+    if not np.all((MASS_MIN <= masses) & (masses <= MASS_MAX)):
+        raise ValueError(f"mass must lie in [{MASS_MIN}, {MASS_MAX}], got {masses}")
+    return masses
 
 
 def frequency(s: int, m: float) -> float:
     """Linear frequency sqrt(s^2 + m); symmetric under s -> -s."""
-    m = check_mass(m)
-    return math.sqrt(s * s + m)
+    return float(FrequencySystem(m).lam(s))
 
 
-def frequency_derivative(a: int, m: float, j: int) -> float:
-    """j-th derivative of frequency(a, .) with respect to the mass.
+def frequency_derivative(a: int, m, j: int):
+    """j-th derivative of frequency(a, .) with respect to the mass, at a mass
+    or elementwise over an array of masses.
 
     Closed form: (2j-2)!/(2^(2j-1) (j-1)!) * (-1)^(j+1) / (a^2+m)^(j-1/2).
     """
@@ -106,30 +109,24 @@ class AdmissibleSet:
 
 
 class FrequencySystem:
-    """Tangential and normal frequency evaluators at a fixed mass.
+    """The dispersion relation lambda_s(m) = sqrt(s^2 + m), the one place the
+    program evaluates it (oracles such as vandermonde_closed_form and the
+    interval enclosures keep their own).  Tangential frequencies omega_a are
+    lambda_a.
 
-    omega_a and lambda_s share the same formula; the split tracks which role
-    an index plays.  Accepts scalars or numpy arrays of mode indices.
+    The mass is a float or an array of masses, validated once here; lam
+    broadcasts mode indices (scalars or arrays) against it.
     """
 
-    def __init__(self, mass: float):
+    def __init__(self, mass):
         self.mass = check_mass(mass)
 
     def lam(self, s):
         s = np.asarray(s)
         return np.sqrt(s * s + self.mass)
 
-    # tangential alias; numerically identical
-    omega = lam
-
     def omega_vector(self, A: AdmissibleSet) -> np.ndarray:
         return self.lam(np.array(A.modes, dtype=float))
-
-    def derivative(self, a: int, j: int) -> float:
-        return frequency_derivative(a, self.mass, j)
-
-    def derivative_vector(self, A: AdmissibleSet, j: int) -> np.ndarray:
-        return np.array([frequency_derivative(a, self.mass, j) for a in A.modes])
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +317,14 @@ def nrom_excluded_bound(A: AdmissibleSet, k: Sequence[int], c: float, chi: float
         deriv = np.zeros_like(masses)
         for ka, a in zip(k, A.modes):
             if ka != 0.0:
-                coeff = math.factorial(2 * j - 2) / (
-                    2 ** (2 * j - 1) * math.factorial(j - 1)
-                )
-                sign = -1.0 if j % 2 == 0 else 1.0
-                deriv += ka * coeff * sign / (a * a + masses) ** (j - 0.5)
+                deriv += ka * frequency_derivative(a, masses, j)
         dmin = float(np.min(np.abs(deriv)))
         if dmin > best_d:
             best_j, best_d = j, dmin
     omega_grid = np.zeros_like(masses)
+    lam = FrequencySystem(masses).lam
     for ka, a in zip(k, A.modes):
-        omega_grid += ka * np.sqrt(a * a + masses)
+        omega_grid += ka * lam(a)
     inside = np.abs(omega_grid + c) <= chi
     n = A.n
     if best_d > 0:

@@ -251,6 +251,7 @@ def test_c09_diagonal_h2_bracket_rule():
                   f"quartics, worst rel defect {worst:.2e} (<= 1e-12)")
 
 
+@pytest.mark.slow
 def test_c10_frequency_shift_law(shift_runs):
     A = AdmissibleSet([1])
     fs = FrequencySystem(SHIFT_MASS)
@@ -276,6 +277,7 @@ def test_c10_frequency_shift_law(shift_runs):
                    f"fitted gap exponent {slope:.2f} (>= 1.3)")
 
 
+@pytest.mark.slow
 def test_c11_energy_and_reality_conservation(shift_runs):
     traj, _ = shift_runs[1e-3]
     keep = traj.times <= 1000.0

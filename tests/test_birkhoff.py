@@ -195,13 +195,13 @@ class TestRescale:
             assert float(r.lambda_of(a)) == pytest.approx(expected, rel=1e-14)
             # |Lambda_a - lambda_a| <= C nu / |a|
             assert abs(float(r.lambda_of(a)) - lam_a) <= (
-                r.frequency_shift_constant() * nu / a)
+                r.lambda_shift_constant * nu / a)
 
     def test_omega_shift_bounded(self, rnf):
         r, fs, A = rnf
         omega = fs.omega_vector(A)
         shift = np.abs(r.omega_of() - omega)
-        assert np.all(shift <= r.frequency_shift_constant() * r.nu)
+        assert np.all(shift <= r.lambda_shift_constant * r.nu)
 
     def test_block_spectrum(self, rnf):
         r, *_ = rnf

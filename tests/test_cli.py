@@ -52,6 +52,14 @@ class TestDivisors:
     def test_bad_mass_usage(self):
         assert run(["divisors", "--modes", "1", "--mass", "0.3"]) == 2
 
+    def test_bad_scan_parameters_usage(self, tmp_path, capsys):
+        for flag in ("--kappa=0", "--kappa=-1e-6", "--kmax=0", "--grid=-5"):
+            out = tmp_path / flag
+            assert run(["divisors", "--modes", "1", "--mass", "1.5", flag,
+                        "--output-dir", str(out)]) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_excluded_scan_json(self, tmp_path):
         run(["divisors", "--modes", "1", "--mass", "1.5123", "--kappa", "1e-8",
              "--kmax", "2", "--smax", "6", "--grid", "500",
@@ -94,6 +102,16 @@ class TestKamcheck:
         assert run(["kamcheck", "--modes", "0,1,2,3,4", "--rho-grid", "2",
                     "--hypothesis", "a1"]) == 2
 
+    def test_bad_scan_parameters_usage(self, tmp_path, capsys):
+        # nu defaults to 1e-4; kappa must lie in (0, nu) for A3 and the sweep
+        for extra in (["--kappa", "1e-4"], ["--kappa", "0"],
+                      ["--kappa-sweep", "1e-7,2e-4"], ["--rho-grid", "0"]):
+            out = tmp_path / "".join(extra)
+            assert run(["kamcheck", "--modes", "1", "--rho-grid", "2",
+                        "--output-dir", str(out), *extra]) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_reports_written(self, tmp_path):
         run(["kamcheck", "--modes", "1", "--rho-grid", "3",
              "--hypothesis", "a1", "--output-dir", str(tmp_path)])
@@ -135,6 +153,21 @@ class TestSimulate:
              "--output-dir", str(d2)])
         for name in ("trajectory.csv", "summary.json", "final_state.bin"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_flag_at_default_wins_over_config(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mass": 1.7, "store_every": 5, "nu": 2e-3}))
+        out = tmp_path / "out"
+        # 1.3 and 100 are the defaults of --mass and --store-every; --nu is
+        # not given, so the config sets it
+        assert run(["simulate", "--config", str(config), "--modes", "1",
+                    "--mass", "1.3", "--store-every", "100", "--linear",
+                    "--tmax", "1", "--cutoff", "8", "--dt", "2e-3",
+                    "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["mass"], manifest["store_every"], manifest["nu"]) == (1.3, 100, 2e-3)
+        sidecar = json.loads((out / "final_state.bin.json").read_text())
+        assert sidecar["mass"] == 1.3
 
     def test_blowup_exit_code(self, tmp_path):
         code = run(["simulate", "--modes", "1", "--nu", "1000", "--cutoff", "8",

@@ -246,6 +246,7 @@ class TestDiagnostics:
         with pytest.raises(FrequencyExtractionError, match="aliases"):
             extract_frequencies(integrate(cfg), A1)
 
+    @pytest.mark.slow
     def test_doubling_action_doubles_shift(self):
         omega = math.sqrt(2.3)
         shifts = []
@@ -262,6 +263,7 @@ class TestDiagnostics:
         d2 = torus_distance(traj, {1: 1e-3}, 1.3, alpha=2.0, n_samples=10)
         assert d2 >= d1 > 0
 
+    @pytest.mark.slow
     def test_galerkin_self_consistency(self):
         # doubling the cutoff moves the extracted frequency by far less than
         # the modulation-law tolerance at the operating nu
@@ -273,6 +275,7 @@ class TestDiagnostics:
             freqs.append(extract_frequencies(integrate(cfg), A1)[1])
         assert abs(freqs[1] - freqs[0]) < 10 * nu ** 1.5
 
+    @pytest.mark.slow
     def test_torus_distance_scaling_study(self):
         # distance to the linear torus family shrinks with nu at least as
         # fast as the nu^(4/5) claim (measured trend is ~ nu^(3/2))

@@ -223,7 +223,7 @@ class TestScans:
         A = AdmissibleSet([2])
         for m in (1.0, 1.5, 2.0):
             fs = FrequencySystem(m)
-            reports = scan_lower_bounds(fs, A, 1.0 / 8.0, 1, 30, kinds=("D3",))
+            reports = scan_lower_bounds(fs, A, 1.0 / 8.0, 1, 30)
             zero = (0,)
             assert not [r for r in reports if r.query.k == zero]
 

@@ -285,10 +285,6 @@ class TestNromBound:
 
 
 class TestFrequencySystem:
-    def test_tangential_equals_normal_formula(self):
-        fs = FrequencySystem(1.7)
-        assert float(fs.omega(4)) == float(fs.lam(4))
-
     def test_vectorized(self):
         fs = FrequencySystem(1.2)
         A = AdmissibleSet([0, 1, 5])
