@@ -136,7 +136,8 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
     gamma_threshold gates the minimum |divisor| over the removed monomials
     with tangential count >= 2 (the all-xi/all-eta divisors are always > 4).
     The degree-6 remainder {P4, chi4} + (1/2){{H2, chi4}, chi4} is computed
-    only on request; it is quadratic in the term count.
+    only on request, as the one bracket (1/2){P4 + Z4 + Q4, chi4} that the
+    homological equation makes it equal to; it is quadratic in the term count.
     """
     modes = _tangential(A)
     cutoff = p4.cutoff
@@ -179,11 +180,7 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
     scale = p4.total.max_abs_coeff() or 1.0
     r6 = None
     if with_remainder:
-        h2chi = bracket_with_h2(chi4, fs)
-        r6 = (
-            poisson_bracket(p4.total, chi4, max_degree=6)
-            + poisson_bracket(h2chi, chi4, max_degree=6).scale(0.5)
-        ).truncate_degree(6).filter(lambda m: m.degree == 6)
+        r6 = poisson_bracket(p4.total + z4 + q4, chi4).scale(0.5)
     return NormalFormResult(
         chi4=chi4,
         Z4=z4,

@@ -2,12 +2,13 @@
 
 Subcommands wire JSON/flag configs to the computational modules and write
 machine-readable outputs (JSON verdicts and summaries, CSV sweep tables,
-little-endian float64 field snapshots with JSON sidecars).  Every run writes
-a manifest echoing the fully resolved parameter set; re-launching from the
-manifest reproduces the outputs bit for bit.
+little-endian float64 field snapshots with JSON sidecars).  Every run with an
+output directory writes a manifest echoing the fully resolved parameter set,
+the output directory aside; re-launching with --config <manifest> reproduces
+the outputs bit for bit.
 
-Exit codes: 0 ok, 2 usage error, 3 bound violations found, 4 near-resonant
-divisor gate, 5 simulation blow-up.
+Exit codes: 0 ok, 1 set not admissible (admissible), 2 usage error, 3 bound
+violations found, 4 near-resonant divisor gate, 5 simulation blow-up.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .kamcheck import check_a1, check_transversality, melnikov_scan
 from .polyham import build_p4
 from .simulate import (
     BlowUpError,
+    FrequencyExtractionError,
     SimConfig,
     extract_frequencies,
     integrate,
@@ -75,9 +77,11 @@ def _run_id(params: dict) -> str:
 
 
 def _manifest(args: argparse.Namespace, command: str) -> dict:
+    """The run's parameters with version and run id.  The output directory is
+    where the run is written, not a parameter of it, so it is left out."""
     params = {
         k: v for k, v in sorted(vars(args).items())
-        if k not in ("func", "config", "from_manifest") and v is not None
+        if k not in ("func", "config", "output_dir") and v is not None
     }
     params["command"] = command
     params["version"] = __version__
@@ -93,35 +97,24 @@ def _emit_manifest(args: argparse.Namespace, command: str) -> dict:
     return manifest
 
 
-def _given_flags(argv: Optional[list[str]]) -> set[str]:
-    """Destinations of the flags given on the command line, found by parsing
-    argv again with every default suppressed."""
-    parser = build_parser()
-    for sub in parser._wavekam_subparsers.values():
-        for action in sub._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   argv: Optional[list[str]]) -> argparse.Namespace:
-    """Merge a JSON config document under the flags: a flag given in argv
-    wins over the document, even when it repeats the flag's default."""
-    path = getattr(args, "config", None) or getattr(args, "from_manifest", None)
-    if not path:
+    """Load a JSON config document (a manifest is one) as the subcommand's
+    defaults and parse argv again, so a flag given in argv wins over the
+    document, even when it repeats the flag's default."""
+    if not args.config:
         return args
-    with open(path) as fh:
+    with open(args.config) as fh:
         doc = json.load(fh)
-    doc.pop("command", None)
-    doc.pop("version", None)
-    doc.pop("run_id", None)
-    given = _given_flags(argv)
-    for key, value in doc.items():
-        if not hasattr(args, key):
+    for key in ("command", "version", "run_id"):
+        doc.pop(key, None)
+    sub = parser._wavekam_subparsers[args.command]
+    options = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
+    for key in doc:
+        if key not in options:
             parser.error(f"unknown config key {key!r}")
-        if key not in given:
-            setattr(args, key, value)
-    return args
+    sub.set_defaults(**doc)
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +306,7 @@ def cmd_kamcheck(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.modes is None:
-        print("error: --modes is required (directly or via config/manifest)",
+        print("error: --modes is required (directly or via --config)",
               file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -327,9 +320,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             dt=args.dt,
             T=args.tmax,
             nonlinearity_on=not args.linear,
-            integrator=args.integrator,
             store_every=args.store_every,
-            seed=args.seed,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -360,7 +351,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary["omega_extracted"] = extracted
         summary["shift_gap"] = {
             a: abs(extracted[a] - predicted[a]) for a in A.modes}
-    except Exception as exc:  # short runs cannot support the fit
+    except FrequencyExtractionError as exc:  # short runs cannot support the fit
         summary["frequency_extraction"] = f"skipped: {exc}"
     if args.distance_alpha is not None:
         summary["torus_distance"] = torus_distance(
@@ -423,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     p = registry["admissible"] = sub.add_parser("admissible", help="check a tangential mode set")
     p.add_argument("--modes", type=_parse_modes, required=True)
@@ -479,12 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=100.0)
     p.add_argument("--linear", action="store_true",
                    help="disable the nonlinearity")
-    p.add_argument("--integrator", choices=["strang_split", "implicit_midpoint"],
-                   default="strang_split")
     p.add_argument("--store-every", type=int, default=100)
     p.add_argument("--distance-alpha", type=float, default=None,
                    help="also compute the Sobolev distance to the linear torus")
-    p.add_argument("--from-manifest", help="re-run from a previous manifest")
     common(p)
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -123,9 +123,6 @@ class PolyHamiltonian:
     def filter(self, predicate: Callable[[Monomial], bool]) -> "PolyHamiltonian":
         return PolyHamiltonian(self.cutoff, {m: c for m, c in self._terms.items() if predicate(m)})
 
-    def truncate_degree(self, max_degree: int) -> "PolyHamiltonian":
-        return self.filter(lambda m: m.degree <= max_degree)
-
     def _check_cutoff(self, other: "PolyHamiltonian") -> None:
         if self.cutoff != other.cutoff:
             raise ValueError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
@@ -257,13 +254,10 @@ class NormParams:
     the space a convolution algebra."""
 
     alpha: float
-    beta: float = 0.5
 
     def __post_init__(self):
         if self.alpha <= 0.5:
             raise ValueError("alpha must exceed 1/2")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
 
 
 def weighted_norm(z: PhasePoint, p: NormParams) -> float:
@@ -369,8 +363,12 @@ def monomial_divisor(m: Monomial, fs: FrequencySystem) -> float:
     return float(sum(fs.lam(s) for s in m.xi) - sum(fs.lam(s) for s in m.eta))
 
 
-def lie_transform(f: PolyHamiltonian, chi: PolyHamiltonian, max_degree: int,
-                  max_terms: int = 64) -> PolyHamiltonian:
+# Lie-series terms after which a series that has not vanished is refused
+LIE_MAX_TERMS = 64
+
+
+def lie_transform(f: PolyHamiltonian, chi: PolyHamiltonian, max_degree: int
+                  ) -> PolyHamiltonian:
     """Truncated Lie series f + {f,chi} + {{f,chi},chi}/2! + ...
 
     Terms of degree above max_degree are dropped as they arise.  For chi of
@@ -380,7 +378,7 @@ def lie_transform(f: PolyHamiltonian, chi: PolyHamiltonian, max_degree: int,
         raise ValueError("max_degree must cover f itself")
     total = f
     term = f
-    for n in range(1, max_terms + 1):
+    for n in range(1, LIE_MAX_TERMS + 1):
         term = poisson_bracket(term, chi, max_degree=max_degree).scale(1.0 / n)
         if len(term) == 0:
             return total
@@ -597,15 +595,11 @@ def projector_compliance_defect(blocks: dict[tuple[int, int], np.ndarray]) -> fl
     return worst
 
 
-def hessian_norm(blocks: dict[tuple[int, int], np.ndarray], beta: float,
-                 plus: bool = False) -> float:
-    """|A|_beta = sup <s>^beta <s'>^beta max|entry|; the plus variant adds the
-    factor (1 + ||s| - |s'||)."""
+def hessian_norm(blocks: dict[tuple[int, int], np.ndarray], beta: float) -> float:
+    """|A|_beta = sup <s>^beta <s'>^beta max|entry|."""
     best = 0.0
     for (s, sp), block in blocks.items():
         w = (max(abs(s), 1) * max(abs(sp), 1)) ** beta
-        if plus:
-            w *= 1 + abs(abs(s) - abs(sp))
         best = max(best, w * float(np.max(np.abs(block))))
     return best
 

@@ -26,8 +26,6 @@ import numpy as np
 
 from .spectrum import AdmissibleSet, FrequencySystem
 
-INTEGRATORS = ("strang_split", "implicit_midpoint")
-
 
 class BlowUpError(RuntimeError):
     def __init__(self, t: float, norm: float, initial_norm: float,
@@ -51,15 +49,12 @@ class SimConfig:
     dt: float = 1e-3
     T: float = 100.0
     nonlinearity_on: bool = True
-    integrator: str = "strang_split"
     store_every: int = 100
     perturb_scale: float = 0.0        # optional normal-mode noise amplitude
     seed: int = 0
 
     def __post_init__(self):
         fs = FrequencySystem(self.mass)
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.cutoff < self.A.n_bound:
             raise ValueError("cutoff must cover the tangential set")
         if set(self.actions) != set(self.A.modes):
@@ -176,7 +171,7 @@ def _rotation(spec: _Spectral, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
               eta0: Optional[np.ndarray] = None) -> TorusTrajectory:
-    """Run the configured integrator and record samples every store_every
+    """Run the Strang splitting and record samples every store_every
     steps, and the final state when the last block is shorter.
 
     Aborts with BlowUpError (carrying the last good snapshot) if the state
@@ -243,27 +238,19 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     nonlinear = cfg.nonlinearity_on
     while step < n_steps:
         block = min(cfg.store_every, n_steps - step)
-        if cfg.integrator == "strang_split":
-            if nonlinear:
-                spec.kick(xi, eta, kick_half)
-                for _ in range(block - 1):
-                    xi *= rot
-                    eta *= rot_c
-                    spec.kick(xi, eta, kick_full)
+        if nonlinear:
+            spec.kick(xi, eta, kick_half)
+            for _ in range(block - 1):
                 xi *= rot
                 eta *= rot_c
-                spec.kick(xi, eta, kick_half)
-            else:
-                phase = np.exp(1j * spec.lam * dt * block)
-                xi *= phase
-                eta *= phase.conj()
+                spec.kick(xi, eta, kick_full)
+            xi *= rot
+            eta *= rot_c
+            spec.kick(xi, eta, kick_half)
         else:
-            # the fixed-point iteration stops on its own residual, so each
-            # member iterates alone
-            for b in range(len(cfgs)):
-                for _ in range(block):
-                    xi[b], eta[b] = _implicit_midpoint_step(spec, xi[b], eta[b],
-                                                            dt, nonlinear)
+            phase = np.exp(1j * spec.lam * dt * block)
+            xi *= phase
+            eta *= phase.conj()
         step += block
         t = step * dt
         norm = np.linalg.norm(xi, axis=-1)
@@ -279,34 +266,6 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     return [TorusTrajectory(c, times.copy(), xis[b], etas[b], energies[b],
                             actions[b], phases[b])
             for b, c in enumerate(cfgs)]
-
-
-def _implicit_midpoint_step(spec: _Spectral, xi: np.ndarray, eta: np.ndarray,
-                            dt: float, nonlinear: bool,
-                            tol: float = 1e-13, max_iter: int = 50
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    lam = spec.lam
-
-    def rhs(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dx = 1j * lam * x
-        de = -1j * lam * e
-        if nonlinear:
-            c = spec.cubic_coeffs(x, e)
-            dx = dx + 1j * spec.kick_scale * c
-            de = de - 1j * spec.kick_scale * c[::-1]
-        return dx, de
-
-    xi_new, eta_new = xi.copy(), eta.copy()
-    for _ in range(max_iter):
-        fx, fe = rhs(0.5 * (xi + xi_new), 0.5 * (eta + eta_new))
-        xi_next = xi + dt * fx
-        eta_next = eta + dt * fe
-        delta = max(float(np.max(np.abs(xi_next - xi_new))),
-                    float(np.max(np.abs(eta_next - eta_new))))
-        xi_new, eta_new = xi_next, eta_next
-        if delta < tol:
-            return xi_new, eta_new
-    raise RuntimeError("implicit midpoint iteration did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +322,16 @@ class FrequencyExtractionError(RuntimeError):
     pass
 
 
-def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet,
-                        max_residual: float = 0.1) -> dict[int, float]:
+# RMS phase-fit residual, in radians, above which a fit is refused
+MAX_PHASE_RESIDUAL = 0.1
+
+
+def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet) -> dict[int, float]:
     """Least-squares linear fit of the unwrapped tangential phases.
 
     Requires at least ~100 tangential periods, samples spaced by at most
     pi / omega_a (a wider spacing aliases the phase) and phase coherence (RMS
-    residual below max_residual radians); returns slope magnitudes.
+    residual below MAX_PHASE_RESIDUAL); returns slope magnitudes.
     """
     times = traj.times
     spacing = float(np.max(np.diff(times), initial=0.0))
@@ -388,9 +350,9 @@ def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet,
         design = np.vstack([times, np.ones_like(times)]).T
         (slope, _), res, *_ = np.linalg.lstsq(design, phase, rcond=None)
         rms = math.sqrt(float(res[0]) / len(times)) if res.size else 0.0
-        if rms > max_residual:
+        if rms > MAX_PHASE_RESIDUAL:
             raise FrequencyExtractionError(
-                f"phase fit residual {rms:.3f} rad RMS exceeds {max_residual}")
+                f"phase fit residual {rms:.3f} rad RMS exceeds {MAX_PHASE_RESIDUAL}")
         out[a] = abs(float(slope))
     traj.extracted_frequencies = out
     return out
@@ -402,13 +364,12 @@ def _field_coeffs(xi: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> np.ndarra
 
 
 def torus_distance(traj: TorusTrajectory, I: dict[int, float], m: float,
-                   alpha: float, n_samples: int = 200,
-                   refine: bool = True) -> float:
+                   alpha: float, n_samples: int = 200) -> float:
     """Sup over sampled times of the phase-minimized Sobolev distance between
     the trajectory field and the linear torus family {u_{I,m}(theta, .)}.
 
-    The tangential phases of the state seed the minimization; an optional
-    local refinement polishes them.
+    The tangential phases of the state seed the minimization, and a local
+    Nelder-Mead refinement polishes them.
     """
     from scipy.optimize import minimize
 
@@ -429,11 +390,8 @@ def torus_distance(traj: TorusTrajectory, I: dict[int, float], m: float,
             return math.sqrt(float(np.sum(np.abs(state_coeffs - ref) ** 2 * weight)))
 
         theta_seed = np.array([np.angle(traj.xi[idx][a + cutoff]) for a in cfg.A.modes])
-        d = dist(theta_seed)
-        if refine:
-            res = minimize(dist, theta_seed, method="Nelder-Mead",
-                           options={"maxiter": 80, "xatol": 1e-10, "fatol": 1e-14})
-            d = min(d, float(res.fun))
-        worst = max(worst, d)
+        res = minimize(dist, theta_seed, method="Nelder-Mead",
+                       options={"maxiter": 80, "xatol": 1e-10, "fatol": 1e-14})
+        worst = max(worst, min(dist(theta_seed), float(res.fun)))
     traj.sup_distance = worst
     return worst

@@ -196,8 +196,11 @@ class VolumePick:
     volume: float       # V_p, Gram-determinant square root
 
 
-def volume_pick(vectors: Sequence[Sequence[float]], w: Sequence[float],
-                span_tol: float = 1e-9) -> VolumePick:
+# relative residual above which w counts as outside the span of the vectors
+SPAN_TOL = 1e-9
+
+
+def volume_pick(vectors: Sequence[Sequence[float]], w: Sequence[float]) -> VolumePick:
     """Pick the vector u^(j) maximizing |u^(j) . w|.
 
     For p independent vectors with l1 norms <= K and w in their span, the
@@ -219,7 +222,7 @@ def volume_pick(vectors: Sequence[Sequence[float]], w: Sequence[float],
     coeffs, *_ = np.linalg.lstsq(U.T, w, rcond=None)
     residual = float(np.linalg.norm(U.T @ coeffs - w))
     w_norm = float(np.linalg.norm(w))
-    if residual > span_tol * max(w_norm, 1.0):
+    if residual > SPAN_TOL * max(w_norm, 1.0):
         raise ValueError(f"w is not in the span of the vectors (residual {residual:.3e})")
     K = float(np.max(np.abs(U).sum(axis=1)))
     inner = np.abs(U @ w)

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
-from wavekam.cli import main
+from wavekam import cli
+from wavekam.cli import build_parser, main
 
 
 def run(argv):
@@ -149,10 +151,45 @@ class TestSimulate:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         run(["simulate", "--modes", "1", "--tmax", "5", "--cutoff", "8",
              "--dt", "2e-3", "--store-every", "10", "--output-dir", str(d1)])
-        run(["simulate", "--from-manifest", str(d1 / "manifest.json"),
+        run(["simulate", "--config", str(d1 / "manifest.json"),
              "--output-dir", str(d2)])
-        for name in ("trajectory.csv", "summary.json", "final_state.bin"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        for name in ("manifest.json", "trajectory.csv", "summary.json",
+                     "final_state.bin", "final_state.bin.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    def test_rerun_without_output_dir_leaves_run_alone(self, tmp_path, capsys):
+        d1 = tmp_path / "a"
+        run(["simulate", "--modes", "1", "--linear", "--tmax", "5", "--cutoff", "8",
+             "--dt", "2e-3", "--store-every", "10", "--output-dir", str(d1)])
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in d1.iterdir()}
+        capsys.readouterr()
+        assert run(["simulate", "--config", str(d1 / "manifest.json")]) == 0
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in d1.iterdir()}
+        assert after == before
+        # the summary goes to stdout instead
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["reality_defect"] == json.loads(
+            (d1 / "summary.json").read_text())["reality_defect"]
+
+    def test_unknown_config_key_usage(self, tmp_path):
+        # seed and integrator were options of earlier versions; func is the
+        # parser's handler, not an option
+        for key, value in (("seed", 0), ("integrator", "strang_split"),
+                           ("func", "x"), ("kappa", 1e-6)):
+            config = tmp_path / f"{key}.json"
+            config.write_text(json.dumps({"modes": [1], key: value}))
+            with pytest.raises(SystemExit) as exc:
+                run(["simulate", "--config", str(config), "--tmax", "1"])
+            assert exc.value.code == 2
+
+    def test_frequency_fit_bug_propagates(self, tmp_path, monkeypatch):
+        def broken(traj, A):
+            raise ValueError("bug in the fit")
+
+        monkeypatch.setattr(cli, "extract_frequencies", broken)
+        with pytest.raises(ValueError, match="bug in the fit"):
+            run(["simulate", "--modes", "1", "--linear", "--tmax", "1",
+                 "--cutoff", "8", "--dt", "2e-3", "--output-dir", str(tmp_path)])
 
     def test_flag_at_default_wins_over_config(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -178,6 +215,26 @@ class TestSimulate:
 
     def test_missing_modes_usage(self):
         assert run(["simulate", "--tmax", "1"]) == 2
+
+
+def test_option_surface():
+    # every settable flag of every subcommand; a new knob is a deliberate
+    # edit here
+    common = {"config", "output_dir"}
+    expected = {
+        "admissible": {"modes"},
+        "divisors": {"modes", "mass", "kappa", "kmax", "smax", "grid", "certify"},
+        "birkhoff": {"modes", "mass", "cutoff", "gamma_threshold"},
+        "kamcheck": {"modes", "mass", "nu", "hypothesis", "kappa", "kmax", "smax",
+                     "rho_grid", "kappa_sweep", "force"},
+        "simulate": {"modes", "mass", "nu", "cutoff", "dt", "tmax", "linear",
+                     "store_every", "distance_alpha"},
+    }
+    subparsers = build_parser()._wavekam_subparsers
+    assert set(subparsers) == set(expected)
+    for name, sub in subparsers.items():
+        dests = {a.dest for a in sub._actions if a.option_strings} - {"help"}
+        assert dests == expected[name] | common, name
 
 
 class TestDeterminism:
