@@ -305,10 +305,6 @@ def cmd_kamcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.modes is None:
-        print("error: --modes is required (directly or via --config)",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
         A = AdmissibleSet(args.modes)
         actions = {a: args.nu for a in A.modes}
@@ -401,6 +397,17 @@ def _snapshot(output_dir: str, name: str, xi: np.ndarray, cfg: SimConfig,
 # Parser
 # ---------------------------------------------------------------------------
 
+# Options each subcommand needs, from argv or from --config.  argparse's own
+# required=True would be checked before the config document is read.
+REQUIRED = {
+    "admissible": ("--modes",),
+    "divisors": ("--modes", "--mass"),
+    "birkhoff": ("--modes", "--mass"),
+    "kamcheck": ("--modes",),
+    "simulate": ("--modes",),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavekam",
@@ -416,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None)
 
     p = registry["admissible"] = sub.add_parser("admissible", help="check a tangential mode set")
-    p.add_argument("--modes", type=_parse_modes, required=True)
+    p.add_argument("--modes", type=_parse_modes)
     common(p)
     p.set_defaults(func=cmd_admissible)
 
     p = registry["divisors"] = sub.add_parser("divisors", help="scan small-divisor lower bounds")
-    p.add_argument("--modes", type=_parse_modes, required=True)
-    p.add_argument("--mass", type=float, required=True)
+    p.add_argument("--modes", type=_parse_modes)
+    p.add_argument("--mass", type=float)
     p.add_argument("--kappa", type=float, default=1e-6)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--smax", type=int, default=None)
@@ -434,15 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_divisors)
 
     p = registry["birkhoff"] = sub.add_parser("birkhoff", help="order-4 normal form and residuals")
-    p.add_argument("--modes", type=_parse_modes, required=True)
-    p.add_argument("--mass", type=float, required=True)
+    p.add_argument("--modes", type=_parse_modes)
+    p.add_argument("--mass", type=float)
     p.add_argument("--cutoff", type=int, default=12)
     p.add_argument("--gamma-threshold", type=float, default=1e-8)
     common(p)
     p.set_defaults(func=cmd_birkhoff)
 
     p = registry["kamcheck"] = sub.add_parser("kamcheck", help="verify separation/transversality/Melnikov")
-    p.add_argument("--modes", type=_parse_modes, required=True)
+    p.add_argument("--modes", type=_parse_modes)
     p.add_argument("--mass", type=float, default=1.31)
     p.add_argument("--nu", type=float, default=1e-4)
     p.add_argument("--hypothesis", choices=["a1", "a2", "a3", "all"], default="all")
@@ -481,6 +488,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args = _apply_config(args, parser, argv)
+    missing = [flag for flag in REQUIRED[args.command]
+               if getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        sub = parser._wavekam_subparsers[args.command]
+        sub.print_usage(sys.stderr)
+        print(f"{sub.prog}: error: the following arguments are required: "
+              f"{', '.join(missing)}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

@@ -6,6 +6,12 @@ eta_s = conj(xi_s).  A monomial is stored as a pair of sorted index tuples
 ordering is lexicographic on (xi indices, eta indices), which makes
 serialization deterministic and diffable.
 
+The tuples are the API.  build_p4 and poisson_bracket compute on numpy
+index rows instead, and add their contributions one at a time in the
+canonical order of the term-by-term loop (quadruple, then expansion term;
+f term, then g term, then side, then mode), so their coefficients are
+bitwise those of that loop and their terms come in the same order.
+
 Everything here is exact symbolic algebra over complex double coefficients;
 the only approximation anywhere is rounding.
 """
@@ -55,15 +61,6 @@ def mono(xi: Iterable[int] = (), eta: Iterable[int] = ()) -> Monomial:
     return Monomial(tuple(sorted(xi)), tuple(sorted(eta)))
 
 
-def _remove_one(t: tuple[int, ...], value: int) -> tuple[int, ...]:
-    i = t.index(value)
-    return t[:i] + t[i + 1:]
-
-
-def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(t1 + t2))
-
-
 class PolyHamiltonian:
     """Sparse complex polynomial in (xi, eta) at a fixed Fourier cutoff."""
 
@@ -78,6 +75,15 @@ class PolyHamiltonian:
                     if m.max_index() > self.cutoff:
                         raise ValueError(f"monomial {m} exceeds cutoff {self.cutoff}")
                     self._terms[m] = complex(c)
+
+    @classmethod
+    def _within_cutoff(cls, cutoff: int, terms: dict[Monomial, complex]) -> "PolyHamiltonian":
+        """Polynomial that takes over `terms`: non-zero complex coefficients
+        of monomials known to lie within the cutoff."""
+        poly = cls.__new__(cls)
+        poly.cutoff = cutoff
+        poly._terms = terms
+        return poly
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -112,16 +118,18 @@ class PolyHamiltonian:
                 out.pop(m, None)
             else:
                 out[m] = new
-        return PolyHamiltonian(self.cutoff, out)
+        return PolyHamiltonian._within_cutoff(self.cutoff, out)
 
     def __sub__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         return self + other.scale(-1.0)
 
     def scale(self, factor: complex) -> "PolyHamiltonian":
-        return PolyHamiltonian(self.cutoff, {m: c * factor for m, c in self._terms.items()})
+        scaled = ((m, complex(c * factor)) for m, c in self._terms.items())
+        return PolyHamiltonian._within_cutoff(self.cutoff, {m: c for m, c in scaled if c != 0})
 
     def filter(self, predicate: Callable[[Monomial], bool]) -> "PolyHamiltonian":
-        return PolyHamiltonian(self.cutoff, {m: c for m, c in self._terms.items() if predicate(m)})
+        return PolyHamiltonian._within_cutoff(
+            self.cutoff, {m: c for m, c in self._terms.items() if predicate(m)})
 
     def _check_cutoff(self, other: "PolyHamiltonian") -> None:
         if self.cutoff != other.cutoff:
@@ -306,6 +314,176 @@ def convolution_algebra_constant(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Index-row kernels
+# ---------------------------------------------------------------------------
+#
+# An index row holds a monomial's xi part or eta part as sorted small
+# integers, offset by the cutoff and padded at the end with 2 cutoff + 1.
+# build_p4 and poisson_bracket generate their contributions a block at a
+# time, in the order of the loop they stand for, and _GroupSum adds them one
+# at a time in that order: each coefficient is the sequential sum
+# 0j + c_1 + c_2 + ... of a dict filled term by term.
+
+# contribution rows generated and summed at a time
+BLOCK_ROWS = 1 << 14
+# result rows decoded into monomials at a time (as Python lists, ~200 B a row)
+DECODE_ROWS = 1 << 12
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product, (ar br - ai bi) + i (ar bi + ai br), on
+    real and imaginary parts, so that it rounds (signed zeros included)
+    exactly as Python's complex multiplication does."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _blocks(cost: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Ranges [lo, hi) of consecutive rows whose costs add up to at most
+    BLOCK_ROWS; a row that alone costs more is a block of its own."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < len(cost):
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + BLOCK_ROWS, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+class _TermRows:
+    """A polynomial's terms as index rows, in insertion order."""
+
+    def __init__(self, poly: PolyHamiltonian):
+        c = poly.cutoff
+        self.pad = 2 * c + 1
+        width = poly.degree
+        # pads given as c + 1, so that the offset by c turns them into 2 c + 1
+        padded = [(m.xi + (c + 1,) * (width - len(m.xi)), m.eta + (c + 1,) * (width - len(m.eta)))
+                  for m in poly._terms]
+        rows = (np.array(padded, dtype=np.int64) + c).astype(np.min_scalar_type(self.pad))
+        self.xi, self.eta = rows[:, 0], rows[:, 1]
+        coeffs = np.array(list(poly._terms.values()), dtype=complex)
+        self.re, self.im = coeffs.real.copy(), coeffs.imag.copy()
+        self.degree = np.fromiter((m.degree for m in poly._terms), np.int64, len(padded))
+        self.xi_count = self._counts(self.xi)
+        self.eta_count = self._counts(self.eta)
+
+    def factors(self, count: np.ndarray, drop_xi: bool):
+        """Every (term, mode j) with count[term, j] > 0, by j then term: the
+        term, j, the exponent as a float, and the term's xi and eta rows with
+        one factor j taken out of the xi part (drop_xi) or the eta part."""
+        mode, term = np.nonzero(count.T)
+        xi, eta = self.xi[term], self.eta[term]
+        rows = xi if drop_xi else eta
+        if len(term):
+            rows[np.arange(len(term)), np.argmax(rows == mode[:, None], axis=1)] = self.pad
+        return term, mode, count[term, mode].astype(float), xi, eta
+
+    def _counts(self, rows: np.ndarray) -> np.ndarray:
+        """Exponent of each mode (columns -cutoff..cutoff) in each row."""
+        counts = np.zeros((len(rows), self.pad + 1), dtype=np.min_scalar_type(rows.shape[1]))
+        for column in rows.T:
+            counts[np.arange(len(rows)), column] += 1
+        return counts[:, :self.pad]
+
+
+class _GroupSum:
+    """Sums of contributions keyed by index rows (xi part, then eta part,
+    each `width` wide), added one at a time in the order given.
+
+    Rows are packed into int64 words of as many base-(pad + 1) digits as
+    fit, one word after another, so keys of any width compare exactly.  The
+    keys seen so far are kept sorted, beside the id of each: its rank in
+    order of first appearance.
+    """
+
+    def __init__(self, cutoff: int, width: int):
+        self.cutoff = cutoff
+        self.width = width
+        self.pad = 2 * cutoff + 1
+        self._base = self.pad + 1
+        self._digits = 1
+        while self._base ** (self._digits + 1) <= _INT64_MAX:
+            self._digits += 1
+        self._n_words = max(1, -(-2 * width // self._digits))
+        self._known = self._keys(np.zeros((0, self._n_words), dtype=np.int64))
+        self._known_ids = np.zeros(0, dtype=np.intp)
+        self._rows: list[np.ndarray] = []
+        self._re = np.zeros(0)
+        self._im = np.zeros(0)
+
+    def _words(self, rows: np.ndarray) -> np.ndarray:
+        words = np.zeros((len(rows), self._n_words), dtype=np.int64)
+        for col in range(rows.shape[1]):
+            word = words[:, col // self._digits]
+            word *= self._base
+            word += rows[:, col]
+        return words
+
+    def _keys(self, words: np.ndarray) -> np.ndarray:
+        """One sortable key per row, ordered as the words lexicographically:
+        the word itself, or the words' big-endian bytes."""
+        if self._n_words == 1:
+            return words[:, 0]
+        be = np.ascontiguousarray(words, dtype=">i8")
+        return be.view(np.dtype((np.void, 8 * self._n_words))).ravel()
+
+    def add(self, rows: np.ndarray, re: np.ndarray, im: np.ndarray) -> None:
+        """Add re[k] + i im[k] to the coefficient of rows[k], for k in order."""
+        if not len(rows):
+            return
+        words = self._words(rows)
+        order = np.lexsort(words.T[::-1])
+        ordered = words[order]
+        starts = np.ones(len(rows), dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+        group = np.cumsum(starts) - 1
+        # lexsort is stable, so a group's first sorted row is its earliest
+        first = order[starts]
+        keys = self._keys(ordered[starts])
+        at = np.searchsorted(self._known, keys)
+        found = at < len(self._known)
+        found[found] = self._known[at[found]] == keys[found]
+        group_ids = np.empty(len(keys), dtype=np.intp)
+        group_ids[found] = self._known_ids[at[found]]
+        # new keys get the next ids in order of first appearance
+        new = np.flatnonzero(~found)
+        by_appearance = new[np.argsort(first[new])]
+        group_ids[by_appearance] = len(self._known) + np.arange(len(new))
+        self._rows.append(rows[first[by_appearance]])
+        self._known = np.insert(self._known, at[new], keys[new])
+        self._known_ids = np.insert(self._known_ids, at[new], group_ids[new])
+        self._re = np.concatenate([self._re, np.zeros(len(new))])
+        self._im = np.concatenate([self._im, np.zeros(len(new))])
+        target = np.empty(len(rows), dtype=np.intp)
+        target[order] = group_ids[group]
+        # ufunc.at adds unbuffered, one index after another
+        np.add.at(self._re, target, re)
+        np.add.at(self._im, target, im)
+
+    def result(self) -> PolyHamiltonian:
+        """The sums as a polynomial, zero coefficients dropped, terms in
+        order of first appearance."""
+        keep = (self._re != 0) | (self._im != 0)
+        rows = np.concatenate(self._rows or [np.zeros((0, 2 * self.width), np.int64)])[keep]
+        coeffs = np.empty(len(rows), dtype=complex)
+        coeffs.real, coeffs.imag = self._re[keep], self._im[keep]
+        terms: dict[Monomial, complex] = {}
+        for lo in range(0, len(rows), DECODE_ROWS):
+            block = rows[lo:lo + DECODE_ROWS]
+            xi, eta = block[:, :self.width], block[:, self.width:]
+            n_xi = np.count_nonzero(xi != self.pad, axis=1).tolist()
+            n_eta = np.count_nonzero(eta != self.pad, axis=1).tolist()
+            xi = (xi.astype(np.int64) - self.cutoff).tolist()
+            eta = (eta.astype(np.int64) - self.cutoff).tolist()
+            monos = (Monomial(tuple(x[:a]), tuple(e[:b]))
+                     for x, a, e, b in zip(xi, n_xi, eta, n_eta))
+            terms.update(zip(monos, coeffs[lo:lo + DECODE_ROWS].tolist()))
+        return PolyHamiltonian._within_cutoff(self.cutoff, terms)
+
+
+# ---------------------------------------------------------------------------
 # Poisson brackets
 # ---------------------------------------------------------------------------
 
@@ -314,36 +492,62 @@ def poisson_bracket(f: PolyHamiltonian, g: PolyHamiltonian,
     """{f, g} = i sum_j (df/deta_j dg/dxi_j - df/dxi_j dg/deta_j).
 
     Exact symbolic bracket.  With max_degree set, term pairs whose bracket
-    degree (deg f + deg g - 2) exceeds it are skipped before any work.
+    degree (deg f + deg g - 2) exceeds it contribute nothing.
+
+    Each f term holding eta_j is paired with every g term holding xi_j, and
+    each f term holding xi_j with every g term holding eta_j (negated).  A
+    pair contributes ((1j c_f) c_g) e_f e_g, e the exponents of the paired
+    factors, and contributions are summed in the order (f term, g term,
+    side, j): that of a loop over f's terms, then over g's.
     """
     f._check_cutoff(g)
-    acc: dict[Monomial, complex] = defaultdict(complex)
-    g_terms = list(g)
-    for m1, c1 in f:
-        d1 = m1.degree
-        eta1 = Counter(m1.eta)
-        xi1 = Counter(m1.xi)
-        for m2, c2 in g_terms:
-            if max_degree is not None and d1 + m2.degree - 2 > max_degree:
-                continue
-            base = 1j * c1 * c2
-            for j, e2 in Counter(m2.xi).items():
-                e1 = eta1.get(j)
-                if e1:
-                    key = Monomial(
-                        _merge(m1.xi, _remove_one(m2.xi, j)),
-                        _merge(_remove_one(m1.eta, j), m2.eta),
-                    )
-                    acc[key] += base * e1 * e2
-            for j, e2 in Counter(m2.eta).items():
-                e1 = xi1.get(j)
-                if e1:
-                    key = Monomial(
-                        _merge(_remove_one(m1.xi, j), m2.xi),
-                        _merge(m1.eta, _remove_one(m2.eta, j)),
-                    )
-                    acc[key] -= base * e1 * e2
-    return PolyHamiltonian(f.cutoff, acc)
+    cutoff = f.cutoff
+    width = f.degree + g.degree - 2
+    if max_degree is not None:
+        width = min(width, max_degree)
+    if not len(f) or not len(g) or width < 0:
+        return PolyHamiltonian(cutoff)
+    F, G = _TermRows(f), _TermRows(g)
+    n_modes = F.pad
+    f_re, f_im = _cmul(0.0, 1.0, F.re, F.im)          # 1j c_f
+    # side 0 pairs eta_j in f with xi_j in g, side 1 xi_j in f with eta_j in g
+    sides = [(F.factors(F.eta_count, drop_xi=False), G.factors(G.xi_count, drop_xi=True)),
+             (F.factors(F.xi_count, drop_xi=True), G.factors(G.eta_count, drop_xi=False))]
+    # contributions of each f term, to cut f into blocks
+    g_len = [np.bincount(g_entries[1], minlength=n_modes) for _, g_entries in sides]
+    cost = sum(np.bincount(f_entries[0], g_len[side][f_entries[1]], minlength=len(f))
+               for side, (f_entries, _) in enumerate(sides))
+    out = _GroupSum(cutoff, width)
+    for lo, hi in _blocks(cost):
+        rows, re, im, keys = [], [], [], []
+        for side, (f_entries, (g_term, g_mode, g_exp, g_xi, g_eta)) in enumerate(sides):
+            f_term, f_mode, f_exp, f_xi, f_eta = f_entries
+            # pair each factor of the block's f terms with the g factors of
+            # its mode, a contiguous run since g's factors are ordered by mode
+            e = np.flatnonzero((f_term >= lo) & (f_term < hi))
+            n_pairs = g_len[side][f_mode[e]]
+            a = np.repeat(e, n_pairs)
+            b = np.arange(len(a)) + np.repeat(
+                np.searchsorted(g_mode, f_mode[e]) - np.cumsum(n_pairs) + n_pairs, n_pairs)
+            if max_degree is not None:
+                keep = F.degree[f_term[a]] + G.degree[g_term[b]] - 2 <= max_degree
+                a, b = a[keep], b[keep]
+            xi = np.sort(np.concatenate([f_xi[a], g_xi[b]], axis=1), axis=1)
+            eta = np.sort(np.concatenate([f_eta[a], g_eta[b]], axis=1), axis=1)
+            rows.append(np.concatenate([xi[:, :width], eta[:, :width]], axis=1))
+            fa, gb = f_term[a], g_term[b]
+            c_re, c_im = _cmul(f_re[fa], f_im[fa], G.re[gb], G.im[gb])
+            c_re, c_im = _cmul(c_re, c_im, f_exp[a], 0.0)
+            c_re, c_im = _cmul(c_re, c_im, g_exp[b], 0.0)
+            if side == 1:
+                c_re, c_im = -c_re, -c_im
+            re.append(c_re)
+            im.append(c_im)
+            keys.append((((fa - lo) * len(g) + gb) * 2 + side) * n_modes + f_mode[a])
+        order = np.argsort(np.concatenate(keys))
+        out.add(np.concatenate(rows)[order], np.concatenate(re)[order],
+                np.concatenate(im)[order])
+    return out.result()
 
 
 def bracket_with_h2(f: PolyHamiltonian, fs: FrequencySystem) -> PolyHamiltonian:
@@ -431,32 +635,34 @@ def build_p4(cutoff: int, fs: FrequencySystem) -> P4Split:
     (p, q, r, t) contributes 1/(8 pi sqrt(lambda_p lambda_q lambda_r lambda_t))
     times the 16-term expansion of prod (xi + eta_-).  Collected monomials
     carry zero momentum: sum(xi indices) = sum(eta indices).
+
+    Quadruples run with p slowest and t = -(p + q + r) fixed, and bit i of
+    the expansion term puts factor i in xi; contributions are summed in that
+    order.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    lam = {s: float(fs.lam(s)) for s in range(-cutoff, cutoff + 1)}
-    acc: dict[Monomial, complex] = defaultdict(complex)
-    rng = range(-cutoff, cutoff + 1)
-    masks = [[(t, (m >> t) & 1) for t in range(4)] for m in range(16)]
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                l = -(i + j + k)
-                if abs(l) > cutoff:
-                    continue
-                quad = (i, j, k, l)
-                base = 1.0 / (8.0 * math.pi * math.sqrt(
-                    lam[i] * lam[j] * lam[k] * lam[l]))
-                for mask in masks:
-                    xi_part = []
-                    eta_part = []
-                    for t, pick_xi in mask:
-                        if pick_xi:
-                            xi_part.append(quad[t])
-                        else:
-                            eta_part.append(-quad[t])
-                    acc[mono(xi_part, eta_part)] += base
-    return P4Split(PolyHamiltonian(cutoff, acc))
+    s = np.arange(-cutoff, cutoff + 1)
+    lam = fs.lam(s)
+    p, q, r = (a.ravel() for a in np.meshgrid(s, s, s, indexing="ij"))
+    quads = np.stack([p, q, r, -(p + q + r)], axis=1)
+    quads = quads[np.abs(quads[:, 3]) <= cutoff]
+    lq = lam[quads + cutoff]
+    base = 1.0 / (8.0 * math.pi * np.sqrt(lq[:, 0] * lq[:, 1] * lq[:, 2] * lq[:, 3]))
+    to_xi = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
+    pad = 2 * cutoff + 1
+    dtype = np.min_scalar_type(pad)
+    as_xi = (quads + cutoff).astype(dtype)[:, None, :]
+    as_eta = (cutoff - quads).astype(dtype)[:, None, :]
+    out = _GroupSum(cutoff, 4)
+    step = max(1, BLOCK_ROWS // 16)
+    for lo in range(0, len(quads), step):
+        xi = np.sort(np.where(to_xi, as_xi[lo:lo + step], pad), axis=2)
+        eta = np.sort(np.where(to_xi, pad, as_eta[lo:lo + step]), axis=2)
+        contrib = np.repeat(base[lo:lo + step], 16)
+        out.add(np.concatenate([xi, eta], axis=2).reshape(-1, 8), contrib,
+                np.zeros_like(contrib))
+    return P4Split(out.result())
 
 
 def build_interaction(cutoff: int, fs: FrequencySystem,

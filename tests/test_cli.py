@@ -217,6 +217,39 @@ class TestSimulate:
         assert run(["simulate", "--tmax", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["admissible", "--modes", "0,1,5"],
+    ["divisors", "--modes", "1", "--mass", "1.5", "--kappa", "10", "--kmax", "1",
+     "--smax", "4", "--grid", "50", "--certify"],
+    ["birkhoff", "--modes", "0,1", "--mass", "1.3", "--cutoff", "4"],
+    ["kamcheck", "--modes", "1", "--kmax", "2", "--smax", "6", "--rho-grid", "3",
+     "--kappa-sweep", "1e-7,1e-6"],
+], ids=lambda argv: argv[0])
+def test_rerun_from_manifest_bit_identical(argv, tmp_path, capsys):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    code = run(argv + ["--output-dir", str(d1)])
+    assert run([argv[0], "--config", str(d1 / "manifest.json"),
+                "--output-dir", str(d2)]) == code
+    names = sorted(p.name for p in d1.iterdir())
+    assert names == sorted(p.name for p in d2.iterdir())
+    assert "manifest.json" in names and len(names) > 1
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible"],
+    ["divisors", "--mass", "1.5"],
+    ["birkhoff", "--modes", "1"],
+    ["kamcheck"],
+    ["simulate", "--tmax", "1"],
+], ids=lambda argv: argv[0])
+def test_missing_required_option_usage(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: the following arguments are required" in err
+
+
 def test_option_surface():
     # every settable flag of every subcommand; a new knob is a deliberate
     # edit here

@@ -1,11 +1,12 @@
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavekam import polyham
 from wavekam.polyham import (
     Monomial,
     NormParams,
@@ -53,6 +54,104 @@ def quartic_expansion_oracle(cutoff, m):
                 (xi if kind == "xi" else eta).append(idx)
             acc[(tuple(sorted(xi)), tuple(sorted(eta)))] += coeff
     return {k: v for k, v in acc.items() if abs(v) > 1e-18}
+
+
+# ---------------------------------------------------------------------------
+# Term-by-term references for the array kernels
+# ---------------------------------------------------------------------------
+
+def _remove_one(t, value):
+    i = t.index(value)
+    return t[:i] + t[i + 1:]
+
+
+def _merge(t1, t2):
+    return tuple(sorted(t1 + t2))
+
+
+def reference_bracket(f, g, max_degree=None):
+    """{f, g} by a loop over term pairs, accumulated into a dict."""
+    assert f.cutoff == g.cutoff
+    acc = defaultdict(complex)
+    g_terms = list(g)
+    for m1, c1 in f:
+        d1 = m1.degree
+        eta1 = Counter(m1.eta)
+        xi1 = Counter(m1.xi)
+        for m2, c2 in g_terms:
+            if max_degree is not None and d1 + m2.degree - 2 > max_degree:
+                continue
+            base = 1j * c1 * c2
+            for j, e2 in Counter(m2.xi).items():
+                e1 = eta1.get(j)
+                if e1:
+                    key = Monomial(_merge(m1.xi, _remove_one(m2.xi, j)),
+                                   _merge(_remove_one(m1.eta, j), m2.eta))
+                    acc[key] += base * e1 * e2
+            for j, e2 in Counter(m2.eta).items():
+                e1 = xi1.get(j)
+                if e1:
+                    key = Monomial(_merge(_remove_one(m1.xi, j), m2.xi),
+                                   _merge(m1.eta, _remove_one(m2.eta, j)))
+                    acc[key] -= base * e1 * e2
+    return PolyHamiltonian(f.cutoff, acc)
+
+
+def reference_p4(cutoff, fs):
+    """The quartic interaction by nested loops over ordered zero-momentum
+    quadruples and the 16 expansion terms, accumulated into a dict."""
+    lam = {s: float(fs.lam(s)) for s in range(-cutoff, cutoff + 1)}
+    acc = defaultdict(complex)
+    rng = range(-cutoff, cutoff + 1)
+    masks = [[(t, (m >> t) & 1) for t in range(4)] for m in range(16)]
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                l = -(i + j + k)
+                if abs(l) > cutoff:
+                    continue
+                quad = (i, j, k, l)
+                base = 1.0 / (8.0 * math.pi * math.sqrt(
+                    lam[i] * lam[j] * lam[k] * lam[l]))
+                for mask in masks:
+                    xi_part, eta_part = [], []
+                    for t, pick_xi in mask:
+                        if pick_xi:
+                            xi_part.append(quad[t])
+                        else:
+                            eta_part.append(-quad[t])
+                    acc[mono(xi_part, eta_part)] += base
+    return PolyHamiltonian(cutoff, acc)
+
+
+def bitwise(poly):
+    """Terms in insertion order with the bits of each coefficient."""
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in poly]
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.cutoff == expected.cutoff
+    assert bitwise(got) == bitwise(expected)
+
+
+COEFFS = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j, complex(-0.0, 2.5), complex(-3.0, -0.0)]),
+)
+
+
+@st.composite
+def polynomials(draw, cutoff, max_terms=8):
+    """Terms of degree 0-6 with any indices (non-zero momentum included)."""
+    index = st.integers(-cutoff, cutoff)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        degree = draw(st.integers(0, 6))
+        n_xi = draw(st.integers(0, degree))
+        xi = draw(st.lists(index, min_size=n_xi, max_size=n_xi))
+        eta = draw(st.lists(index, min_size=degree - n_xi, max_size=degree - n_xi))
+        terms[mono(xi, eta)] = draw(COEFFS)
+    return PolyHamiltonian(cutoff, terms)
 
 
 def random_poly(cutoff, degree, rng, n_terms=10, real_symmetric=False,
@@ -165,6 +264,12 @@ class TestBuildP4:
             24 * (1 / (8 * math.pi)) / root([-2, -1, 0, 3]), rel=1e-12)
 
 
+    @pytest.mark.parametrize("cutoff", range(9))
+    def test_bitwise_equal_to_loop(self, cutoff):
+        fs = FrequencySystem(1.2337)
+        assert_bitwise_equal(build_p4(cutoff, fs).total, reference_p4(cutoff, fs))
+
+
 class TestInteractionHook:
     def test_default_cubic_matches_p4(self):
         fs = FrequencySystem(1.4)
@@ -244,6 +349,81 @@ class TestPoissonBracket:
         out = poisson_bracket(f, g)
         assert out.conserves_momentum()
         assert out.is_real_hamiltonian(tol=1e-10)
+
+
+class TestBracketMatchesLoop:
+    """The array kernel against the term-pair loop: same terms in the same
+    order, and every coefficient the same bits, so a change in the order of
+    summation fails here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8).flatmap(
+               lambda c: st.tuples(polynomials(c), polynomials(c))),
+           st.none() | st.integers(0, 10))
+    def test_random_polynomials(self, fg, max_degree):
+        f, g = fg
+        assert_bitwise_equal(poisson_bracket(f, g, max_degree=max_degree),
+                             reference_bracket(f, g, max_degree=max_degree))
+
+    @pytest.mark.parametrize("max_degree", [None, 4, 6])
+    def test_quartic_with_many_collisions(self, max_degree):
+        rng = np.random.default_rng(17)
+        p4 = build_p4(3, FrequencySystem(1.37)).total
+        g = random_poly(3, 4, rng, n_terms=20)
+        h = poisson_bracket(p4, g)
+        for f, k in ((p4, g), (h, g)):
+            assert_bitwise_equal(poisson_bracket(f, k, max_degree=max_degree),
+                                 reference_bracket(f, k, max_degree=max_degree))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 100])
+    def test_sums_run_on_across_blocks(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(5)
+        p4 = build_p4(2, FrequencySystem(1.37)).total
+        g = random_poly(2, 4, rng, n_terms=12)
+        monkeypatch.setattr(polyham, "BLOCK_ROWS", block_rows)
+        assert_bitwise_equal(poisson_bracket(p4, g), reference_bracket(p4, g))
+        assert_bitwise_equal(build_p4(2, FrequencySystem(1.37)).total,
+                             reference_p4(2, FrequencySystem(1.37)))
+
+    def test_empty(self):
+        f = random_poly(3, 4, np.random.default_rng(4))
+        for a, b in ((f, PolyHamiltonian(3)), (PolyHamiltonian(3), f),
+                     (PolyHamiltonian(3), PolyHamiltonian(3))):
+            assert len(poisson_bracket(a, b)) == 0
+            assert_bitwise_equal(poisson_bracket(a, b), reference_bracket(a, b))
+
+    def test_nested_brackets_at_cutoff_6(self):
+        # the shape of c08: a bracket of degree 5 against a cubic or quartic
+        rng = np.random.default_rng(2024)
+        for _ in range(4):
+            f, g, h = (random_poly(6, int(rng.choice([3, 4])), rng, n_terms=7,
+                                   real_symmetric=True, zero_momentum=True)
+                       for _ in range(3))
+            fg = poisson_bracket(f, g)
+            assert_bitwise_equal(fg, reference_bracket(f, g))
+            assert_bitwise_equal(poisson_bracket(fg, h), reference_bracket(fg, h))
+            assert_bitwise_equal(poisson_bracket(h, fg), reference_bracket(h, fg))
+
+    def test_wide_keys_at_cutoff_40(self):
+        # a degree-6 result has 12 index digits in base 82, more than one
+        # int64 holds; few distinct modes make many pairs hit the same key
+        assert 82 ** 12 > 2 ** 63
+        rng = np.random.default_rng(40)
+        modes = [-40, -39, 0, 1, 39, 40]
+
+        def quartic():
+            terms = {}
+            for _ in range(30):
+                n_xi = int(rng.integers(0, 5))
+                terms[mono(rng.choice(modes, n_xi).tolist(),
+                           rng.choice(modes, 4 - n_xi).tolist())] = complex(
+                    rng.standard_normal(), rng.standard_normal())
+            return PolyHamiltonian(40, terms)
+
+        f, g = quartic(), quartic()
+        out = poisson_bracket(f, g)
+        assert len(out) > 0 and max(m.degree for m, _ in out) == 6
+        assert_bitwise_equal(out, reference_bracket(f, g))
 
 
 class TestLieTransform:
