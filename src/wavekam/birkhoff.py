@@ -63,32 +63,6 @@ def is_action(m: Monomial) -> bool:
     return sorted(m.xi) == sorted(m.eta)
 
 
-@dataclass(frozen=True)
-class ResonanceFlags:
-    in_J: bool
-    in_J2: bool
-    in_R2: bool
-    omega_kind: Optional[int]  # 2 in J (every quadruple is a 2-2 monomial), None outside J
-
-
-def resonance_membership(quad: Sequence[int], A: ModeSetLike) -> ResonanceFlags:
-    """Classify an integer quadruple (i, j, k, l) read as the 2-2 monomial
-    xi_i xi_j eta_k eta_l: zero momentum, tangential count >= 2, and the
-    identically-vanishing divisor pattern.  Purely combinatorial."""
-    i, j, k, l = (int(x) for x in quad)
-    modes = _tangential(A)
-    in_j = (i + j) == (k + l)
-    count = sum(1 for x in (i, j, k, l) if x in modes)
-    in_j2 = in_j and count >= 2
-    in_r2 = sorted((abs(i), abs(j))) == sorted((abs(k), abs(l)))
-    return ResonanceFlags(
-        in_J=in_j,
-        in_J2=in_j2,
-        in_R2=in_r2,
-        omega_kind=2 if in_j else None,
-    )
-
-
 class NearResonanceError(RuntimeError):
     """Raised when the minimum non-resonant divisor falls below the gate."""
 
@@ -180,7 +154,8 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
     scale = p4.total.max_abs_coeff() or 1.0
     r6 = None
     if with_remainder:
-        r6 = poisson_bracket(p4.total + z4 + q4, chi4).scale(0.5)
+        r6 = poisson_bracket(p4.total + z4 + q4, chi4)
+        r6.scale_in_place(0.5)   # the bracket's own dict: no second copy
     return NormalFormResult(
         chi4=chi4,
         Z4=z4,
@@ -344,19 +319,6 @@ class RescaledNormalForm:
         shift = (3.0 / math.pi) * float(np.sum(rho / lam_t))
         lam_s = self.fs.lam(s)
         return lam_s + self.nu * shift / lam_s
-
-    def quadratic_block(self, a: int, rho: Optional[np.ndarray] = None) -> np.ndarray:
-        lam = float(self.lambda_of(a, rho))
-        return np.array([[0.0, lam], [lam, 0.0]])
-
-
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def hamiltonian_block_spectrum(rnf: RescaledNormalForm, a: int) -> np.ndarray:
-    """Eigenvalues of i J A_a; should be {+i Lambda_a, -i Lambda_a}."""
-    block = rnf.quadratic_block(a)
-    return np.linalg.eigvals(1j * _J2 @ block)
 
 
 def _jet_from_polynomial(poly: Optional[PolyHamiltonian], modes: frozenset[int],

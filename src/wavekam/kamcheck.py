@@ -5,9 +5,20 @@ second Melnikov condition (A3), for the rescaled frequency maps
     Omega(rho) = omega + nu M rho,
     Lambda_a(rho) = lambda_a + nu (3/pi) (1/lambda_a) sum_l rho_l / lambda_l.
 
+Both maps belong to the program's Hamiltonian H2 + int u^4, the equation
+u_tt - u_xx + m u = -4 u^3.  The paper writes +4 u^3; under that sign M and
+the Lambda_a shifts change sign and |det M| does not.
+
 The hypotheses quantify over a ball of nearby frequency maps |Omega' - Omega|
 < delta_0; that ball is handled soundly by shrinking thresholds, i.e. checking
 at Omega with the margin delta_0 |k|_1 added to the requirement.
+
+A2 and A3 are scanned one rho point at a time on the sorted dots
+k . Omega(rho), so most (k, rho) cells are settled without a table pass of
+their own: the A3 screen is exact, the A2 screen conservative with a
+rounding slack (SCREEN_SLACK), and only the cells it flags run the exact
+per-cell test.  Reports, counts and violation order are those of the plain
+per-(k, rho) scan.
 """
 
 from __future__ import annotations
@@ -23,6 +34,10 @@ from .birkhoff import RescaledNormalForm
 from .smalldiv import DivisorRange
 
 MAX_UNFORCED_DIM = 4
+# slack of the A2 screen, relative to the size of the summands of a divisor
+SCREEN_SLACK = 1e-9
+# cap on the table entries that one array pass over several cells holds
+CELL_BLOCK = 2 ** 16
 
 
 @dataclass
@@ -121,6 +136,42 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
     )
 
 
+def _dots(kvecs: list[np.ndarray], omega: np.ndarray) -> np.ndarray:
+    """k . Omega for every k, each through the np.dot call of a single cell,
+    so that every value is bitwise the one the exact per-cell code uses."""
+    return np.array([float(np.dot(k, omega)) for k in kvecs])
+
+
+def _near(ds: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask over the sorted dots ds: True at every position p with
+    |ds[p] + x_e| <= t_e for some entry e, widened by the rounding slack.
+
+    The slack is SCREEN_SLACK times B, a bound on the summands' magnitude.
+    A divisor of up to three summands, summed in another order, and the
+    interval ends each round by at most 2 * 2^-53 * B, so the exact value
+    and the screen's differ by under 1e-15 B, a millionth of the slack."""
+    slack = SCREEN_SLACK * (1.0 + np.abs(ds).max() + np.abs(x).max(initial=0.0)
+                            + t.max(initial=0.0))
+    lo = np.searchsorted(ds, -x - (t + slack), "left")
+    hi = np.searchsorted(ds, -x + (t + slack), "right")
+    hit = lo < hi
+    marks = np.zeros(len(ds) + 1, dtype=int)
+    np.add.at(marks, lo[hit], 1)
+    np.add.at(marks, hi[hit], -1)
+    return np.cumsum(marks[:-1]) > 0
+
+
+def _min_abs_sum(ds: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min over the sorted dots ds of |fl(ds[p] + x_e)|, per entry e, exactly.
+
+    fl(d + x) is monotone in d and has the sign of d + x, so the minimum is
+    at one of the two neighbours of -x in ds."""
+    p = np.searchsorted(ds, -x)
+    below = ds[np.maximum(p - 1, 0)]
+    above = ds[np.minimum(p, len(ds) - 1)]
+    return np.minimum(np.abs(below + x), np.abs(above + x))
+
+
 def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
                          gamma_exponent: float = 0.25,
                          points_per_dim: Optional[int] = None,
@@ -139,6 +190,18 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     worst-case allowance skips the sweep when it holds.  Combinatorially
     resonant patterns carry exact O(nu) shift formulas and are only required
     to stay away from zero.
+
+    The (k, rho) cells are settled one rho point at a time.  A screen over
+    the sorted dots k . Omega(rho) flags every k that comes within the
+    largest D1-D3 threshold (nu^(2/3) w + the largest margin), plus a slack,
+    of some -Lambda_a (-Lambda_a -/+ Lambda_b) on the |a|-deduplicated
+    tables; D0 is tested exactly.  The screen is conservative: the thresholds
+    are the largest over k and the slack (SCREEN_SLACK relative to the
+    summands' size, against rounding of a few 1e-16 relative) covers the
+    different rounding of a sum taken in another order.  An unflagged cell
+    has no value failure at all and only adds to the "value" branch; each
+    flagged cell runs the exact per-cell test, and its violations are
+    reported in (k, then rho) order.
     """
     if gamma_exponent <= 0:
         raise ValueError("gamma_exponent must be positive")
@@ -150,87 +213,125 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     grid = rho_grid(n, points_per_dim, force)
     rng = DivisorRange(A, N, S)
     normals = rng.normals
+    abs_n = np.abs(normals)
     lam_base = np.asarray(rnf.fs.lam(normals), dtype=float)
     deriv_row = (3.0 / math.pi) * float(
         np.linalg.norm(1.0 / rnf.fs.omega_vector(A), 2))
-    violations: list[Violation] = []
-    checked = 0
     branch_counts = {"value": 0, "derivative": 0, "resonant-pattern": 0}
+    kvecs = [np.array(k, dtype=float) for k in rng.ks]
+    k_l1 = [float(np.abs(kvec).sum()) for kvec in kvecs]
+    margins = np.array([delta0 * l1 for l1 in k_l1])
+    required0 = nu ** 0.5 + margins                  # D0's threshold per k
+    mks = np.array([float(np.linalg.norm(rnf.M @ kvec, 2)) for kvec in kvecs])
+    worst_allowance = 2.0 * deriv_row / float(np.min(lam_base))
+    # for large k the pure derivative certificate skips the whole rho sweep
+    active = np.array([i for i in range(len(kvecs))
+                       if k_l1[i] <= small_cap or not mks[i] - worst_allowance >= 1.0],
+                      dtype=int)
+    branch_counts["derivative"] += len(grid) * (len(kvecs) - len(active))
+    checked = len(kvecs) * len(grid) * (1 + len(normals) * (1 + 2 * len(normals)))
 
-    def record(family, k, a, b, rho, value, required):
-        violations.append(Violation("A2", family, tuple(int(x) for x in k),
-                                    a, b, tuple(float(r) for r in rho),
-                                    float(value), float(required),
-                                    "value+derivative"))
+    # Lambda, the weights, the allowances and the resonant patterns depend on
+    # |a| and |b| only: every table below has one row (column) per |a|, and
+    # mult counts the (a, b) of the full tables that each entry stands for
+    first, inv, mult = np.unique(abs_n, return_index=True, return_inverse=True,
+                                 return_counts=True)[1:]
+    sub = np.ix_(first, first)
+    uabs, distinct = abs_n[first], rng.distinct[sub]
+    rows_cols = {"D1": (first, slice(None)), "D2": sub, "D3": sub}
+    nu23w = {f: (nu ** (2.0 / 3.0) * rng.weights[f])[rows_cols[f]] for f in rows_cols}
+    # Lambda-derivative allowance per (a, b), summed as the scalar path does
+    allow1 = deriv_row / lam_base[first]
+    allowance = {"D1": allow1[:, None], "D2": allow1[:, None] + allow1[None, :]}
+    allowance["D3"] = allowance["D2"]
+    weight = {"D1": mult[:, None], "D2": mult[:, None] * mult[None, :]}
+    weight["D3"] = weight["D2"]
+    found: dict[int, list[Violation]] = {int(i): [] for i in active}
 
-    def value_failures(k, rho, omega_k, lam, margin):
-        """(family, a, b, value, required) for value-bound failures, resonant
-        patterns excluded after their positivity check."""
-        failures = []
-        required0 = nu ** 0.5 + margin
-        if abs(omega_k) < required0:
-            failures.append(("D0", None, None, omega_k, required0))
-        vals1 = omega_k + lam
-        req1 = nu ** (2.0 / 3.0) * rng.weights["D1"][:, 0] + margin
-        bad1 = np.abs(vals1) < req1
-        resonant = rng.resonant("D1", k)
-        for idx in np.nonzero(bad1)[0]:
-            a = int(normals[idx])
-            if (abs(a),) in resonant:
-                branch_counts["resonant-pattern"] += 1
-                if vals1[idx] == 0.0:
-                    record("D1", k, a, None, rho, 0.0, 0.0)
-                continue
-            failures.append(("D1", a, None, float(vals1[idx]), float(req1[idx])))
-        for family, sign in (("D2", 1.0), ("D3", -1.0)):
-            vals = vals1[:, None] + sign * lam[None, :]
-            req = nu ** (2.0 / 3.0) * rng.weights[family] + margin
+    def resonant_mask(family: str, k: tuple[int, ...]) -> Optional[np.ndarray]:
+        """Mask of the family's resonant (|a|, |b|) at k; None for most k."""
+        keys = rng.resonant(family, k)
+        if not keys:
+            return None
+        mask = np.zeros(weight[family].shape, dtype=bool)
+        for key in keys:
+            rows = uabs[:, None] == key[0]
+            mask |= rows & (uabs[None, :] == key[1]) if len(key) == 2 else rows
+        return mask
+
+    def settle(ids: np.ndarray, d: np.ndarray, rho_t: tuple[float, ...],
+               lam_u: np.ndarray) -> None:
+        """The exact test of the flagged cells (k_i, rho), i in ids, with
+        d = k_i . Omega(rho): branch counts, and each cell's violations in the
+        per-cell order (resonant zeros, then D0, D1, D2, D3 failures), each
+        family's in the full table's (a, b) order."""
+        margin, mk, req0 = margins[ids], mks[ids], required0[ids]
+        out = [found[i] for i in ids]
+
+        def record(family, mask, vals, req):
+            cols = inv if family != "D1" else np.zeros(1, dtype=int)
+            for f, r, c in zip(*np.nonzero(mask[:, inv][:, :, cols])):
+                u, v = inv[r], cols[c]
+                out[f].append(Violation(
+                    "A2", family, rng.ks[ids[f]], *rng.ab(family, r, c), rho_t,
+                    0.0 if vals is None else float(vals[f, u, v]),
+                    0.0 if req is None else float(req[f, u, v]), "value+derivative"))
+
+        d0_fails = np.abs(d) < req0
+        fails = d0_fails.copy()
+        vals1 = (d[:, None] + lam_u[None, :])[:, :, None]
+        failing = []
+        for family, vals in (("D1", vals1), ("D2", vals1 + lam_u), ("D3", vals1 - lam_u)):
+            req = nu23w[family] + margin[:, None, None]
             bad = np.abs(vals) < req
             if family == "D3":
-                bad &= rng.distinct
-            resonant = rng.resonant(family, k)
-            for i, j in zip(*np.nonzero(bad)):
-                a, b = int(normals[i]), int(normals[j])
-                if (abs(a), abs(b)) in resonant:
-                    branch_counts["resonant-pattern"] += 1
-                    # exact O(nu) shift; must stay away from zero
-                    if vals[i, j] == 0.0:
-                        record(family, k, a, b, rho, 0.0, 0.0)
-                    continue
-                failures.append((family, a, b, float(vals[i, j]), float(req[i, j])))
-        return failures
+                bad &= distinct
+            masks = [resonant_mask(family, rng.ks[i]) for i in ids]
+            if any(m is not None for m in masks):
+                resonant = np.array([np.zeros_like(bad[0]) if m is None else m
+                                     for m in masks])
+                hit = bad & resonant
+                branch_counts["resonant-pattern"] += int((hit * weight[family]).sum())
+                # exact O(nu) shift; must stay away from zero
+                zero = hit & (vals == 0.0)
+                if zero.any():
+                    record(family, zero, None, None)
+                bad &= ~resonant
+            fails |= bad.any(axis=(1, 2))
+            failing.append((family, vals, req, bad))
+        branch_counts["value"] += len(ids) - int(fails.sum())
+        d0_ok = mk >= 1.0
+        branch_counts["derivative"] += int((d0_fails & d0_ok).sum())
+        for f in np.nonzero(d0_fails & ~d0_ok)[0]:
+            out[f].append(Violation("A2", "D0", rng.ks[ids[f]], None, None, rho_t,
+                                    float(d[f]), float(req0[f]), "value+derivative"))
+        for family, vals, req, bad in failing:
+            ok = mk[:, None, None] - allowance[family] >= 1.0
+            branch_counts["derivative"] += int(((bad & ok) * weight[family]).sum())
+            if (bad & ~ok).any():
+                record(family, bad & ~ok, vals, req)
 
-    worst_allowance = 2.0 * deriv_row / float(np.min(lam_base))
-    for k in rng.ks:
-        kvec = np.array(k, dtype=float)
-        k_l1 = float(np.abs(kvec).sum())
-        margin = delta0 * k_l1
-        small = k_l1 <= small_cap
-        mk = float(np.linalg.norm(rnf.M @ kvec, 2))
-
-        def tuple_derivative_ok(a: Optional[int], b: Optional[int]) -> bool:
-            allowance = 0.0
-            for s in (a, b):
-                if s is not None:
-                    allowance += deriv_row / float(rnf.fs.lam(s))
-            return mk - allowance >= 1.0
-
-        for rho in grid:
-            checked += 1 + len(normals) * (1 + 2 * len(normals))
-            if not small and mk - worst_allowance >= 1.0:
-                branch_counts["derivative"] += 1
-                continue
-            omega_k = float(np.dot(kvec, rnf.omega_of(rho)))
-            lam = np.asarray(rnf.lambda_of(normals, rho))
-            failures = value_failures(k, rho, omega_k, lam, margin)
-            if not failures:
-                branch_counts["value"] += 1
-                continue
-            for family, a, b, value, required in failures:
-                if tuple_derivative_ok(a, b):
-                    branch_counts["derivative"] += 1
-                else:
-                    record(family, kvec, a, b, rho, value, required)
+    iu, ju = np.triu_indices(len(first))           # D2 is symmetric in (a, b)
+    ou, ov = np.nonzero(distinct)                   # D3 only has |a| != |b|
+    screen_t = np.concatenate([nu23w["D1"][:, 0], nu23w["D2"][iu, ju],
+                               nu23w["D3"][ou, ov]]) + margins[active].max(initial=0.0)
+    active_kvecs = [kvecs[i] for i in active]
+    block = max(1, CELL_BLOCK // max(1, len(first) ** 2))
+    for rho in (grid if len(active) else ()):
+        dots = _dots(active_kvecs, rnf.omega_of(rho))
+        lam_u = np.asarray(rnf.lambda_of(normals, rho))[first]
+        x = np.concatenate([lam_u, lam_u[iu] + lam_u[ju], lam_u[ou] - lam_u[ov]])
+        order = np.argsort(dots)
+        flagged = np.empty(len(dots), dtype=bool)
+        flagged[order] = _near(dots[order], x, screen_t)
+        flagged |= np.abs(dots) < required0[active]
+        flagged = np.nonzero(flagged)[0]
+        branch_counts["value"] += len(dots) - len(flagged)
+        rho_t = tuple(float(r) for r in rho)
+        for start in range(0, len(flagged), block):
+            j = flagged[start:start + block]
+            settle(active[j], dots[j], rho_t, lam_u)
+    violations = [v for i in active for v in found[i]]
     return HypothesisReport(
         hypothesis="A2",
         parameters={"N": N, "S": S, "nu": nu, "delta0": delta0,
@@ -255,6 +356,14 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
     at the rescaled level the combinatorially resonant patterns carry O(nu)
     shifts which dominate kappa < nu.  Reports the accepted fraction and the
     proof-shape excluded-measure bound for reference.
+
+    Each rho point is decided on the sorted dots k . Omega(rho).  The
+    computed divisor fl(d + x), with x = Lambda_a - Lambda_b, is monotone in
+    d and has the sign of d + x, so its smallest modulus over k sits at one of
+    the two neighbours of -x: the screen is exact, and it accepts a point iff
+    the per-k scan would.  At a rejected point the first k in scan order with
+    a failing pair, its first pair and the count of checked divisors are
+    those of the scan that stops there.
     """
     nu = rnf.nu
     if not (0.0 < kappa < nu):
@@ -263,33 +372,48 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
     rng = DivisorRange(rnf.A, N, S)
     normals, pair_mask = rng.normals, rng.distinct
     weights = kappa * rng.weights["D3"]
-    ks = [np.array(k, dtype=float) for k in rng.ks]
+    kvecs = [np.array(k, dtype=float) for k in rng.ks]
+    # Lambda and the weights depend on |a| only: one row (column) per |a|
+    first = np.unique(np.abs(normals), return_index=True)[1]
+    sub = np.ix_(first, first)
+    ou, ov = np.nonzero(pair_mask[sub])
+    pair_weights = weights[sub][ou, ov]
+    per_k = int(pair_mask.sum())
+    block = max(1, CELL_BLOCK // max(1, len(ou)))
     accepted_mask: list[bool] = []
     checked = 0
     violations: list[Violation] = []
     for rho in grid:
         lam = np.asarray(rnf.lambda_of(normals, rho))
-        diff = lam[:, None] - lam[None, :]
         omega = rnf.omega_of(rho)
-        ok = True
-        for kvec in ks:
-            vals = float(np.dot(kvec, omega)) + diff
-            checked += int(pair_mask.sum())
-            bad = pair_mask & (np.abs(vals) < weights)
-            if np.any(bad):
-                ok = False
-                i, j = next(zip(*np.nonzero(bad)))
-                a, b = int(normals[i]), int(normals[j])
-                # record through the standalone scalar path so the value is
-                # bitwise reproducible from the frequency evaluators
-                value = float(np.dot(kvec, omega) + rnf.lambda_of(a, rho)
-                              - rnf.lambda_of(b, rho))
-                violations.append(Violation(
-                    "A3", "melnikov", tuple(int(x) for x in kvec), a, b,
-                    tuple(float(r) for r in rho), value,
-                    float(weights[i, j])))
+        dots = _dots(kvecs, omega)
+        lam_u = lam[first]
+        diff = lam_u[ou] - lam_u[ov]
+        if not kvecs or not np.any(_min_abs_sum(np.sort(dots), diff) < pair_weights):
+            accepted_mask.append(True)
+            checked += len(kvecs) * per_k
+            continue
+        # the first k in scan order with a failing pair, a block of k at a time
+        for start in range(0, len(kvecs), block):
+            bad_k = np.any(np.abs(dots[start:start + block, None] + diff) < pair_weights,
+                           axis=1)
+            if bad_k.any():
+                first_bad = start + int(np.argmax(bad_k))
                 break
-        accepted_mask.append(ok)
+        checked += (first_bad + 1) * per_k
+        kvec = kvecs[first_bad]
+        bad = pair_mask & (np.abs(dots[first_bad] + (lam[:, None] - lam[None, :])) < weights)
+        i, j = next(zip(*np.nonzero(bad)))
+        a, b = int(normals[i]), int(normals[j])
+        # record through the standalone scalar path so the value is
+        # bitwise reproducible from the frequency evaluators
+        value = float(np.dot(kvec, omega) + rnf.lambda_of(a, rho)
+                      - rnf.lambda_of(b, rho))
+        violations.append(Violation(
+            "A3", "melnikov", tuple(int(x) for x in kvec), a, b,
+            tuple(float(r) for r in rho), value,
+            float(weights[i, j])))
+        accepted_mask.append(False)
     gamma_exponent = 0.1
     n = rnf.A.n
     bound_shape = N ** (n + 1.5 + 2.0 / (3.0 * gamma_exponent)) * math.sqrt(

@@ -45,10 +45,6 @@ class Monomial:
         """Sum of xi indices minus sum of eta indices."""
         return sum(self.xi) - sum(self.eta)
 
-    @property
-    def xi_exponents(self) -> dict[int, int]:
-        return dict(Counter(self.xi))
-
     def conjugate(self) -> "Monomial":
         """Swap xi and eta roles (complex conjugation on the real subspace)."""
         return Monomial(self.eta, self.xi)
@@ -126,6 +122,18 @@ class PolyHamiltonian:
     def scale(self, factor: complex) -> "PolyHamiltonian":
         scaled = ((m, complex(c * factor)) for m, c in self._terms.items())
         return PolyHamiltonian._within_cutoff(self.cutoff, {m: c for m, c in scaled if c != 0})
+
+    def scale_in_place(self, factor: complex) -> None:
+        """self.scale(factor) without the copy, for a polynomial that no one
+        else holds: the same coefficients and the same term order."""
+        zeros = []
+        for m, c in self._terms.items():
+            scaled = complex(c * factor)
+            self._terms[m] = scaled
+            if scaled == 0:
+                zeros.append(m)
+        for m in zeros:
+            del self._terms[m]
 
     def filter(self, predicate: Callable[[Monomial], bool]) -> "PolyHamiltonian":
         return PolyHamiltonian._within_cutoff(

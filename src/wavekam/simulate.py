@@ -1,7 +1,10 @@
-"""Truncated spectral simulation of u_tt - u_xx + m u = 4 u^3 on the circle.
+"""Truncated spectral simulation of u_tt - u_xx + m u = -4 u^3 on the circle.
 
 In Fourier variables the system is xi_s' = i dH/deta_s, eta_s' = -i dH/dxi_s
-with H = sum lambda_s xi_s eta_s + int u^4 dx.  The field u depends on the
+with H = sum lambda_s xi_s eta_s + int u^4 dx, whose equation of motion has
+the sign -4 u^3; the paper writes +4 u^3, the Hamiltonian H2 - int u^4.
+Flipping the sign flips the frequency-modulation matrix M and the O(nu)
+shifts of the frequencies, and leaves |det M| unchanged.  The field u depends on the
 state only through w_s = (xi_s + eta_{-s}) / sqrt(2 lambda_s), which the
 nonlinear kick leaves invariant, so both split flows are exact:
 

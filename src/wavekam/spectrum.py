@@ -97,9 +97,6 @@ class AdmissibleSet:
     def is_normal(self, s: int) -> bool:
         return s not in self.modes
 
-    def in_l_infinity(self, s: int) -> bool:
-        return self.is_normal(s) and s not in self.a_minus
-
     def normal_modes(self, bound: int) -> list[int]:
         """Normal modes with |s| <= bound, sorted."""
         return [s for s in range(-bound, bound + 1) if s not in self.modes]

@@ -7,17 +7,15 @@ from wavekam.birkhoff import (
     NearResonanceError,
     det_m_closed_form,
     frequency_matrix,
-    hamiltonian_block_spectrum,
     is_action,
     is_r2,
     rescale,
-    resonance_membership,
     solve_homological,
     tangential_count,
     verify_zminus_vanishing,
     z4_action_coefficient_table,
 )
-from wavekam.polyham import build_h2, build_p4, lie_transform, mono
+from wavekam.polyham import build_h2, build_p4, lie_transform, mono, poisson_bracket
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 
 
@@ -30,22 +28,6 @@ def nf_015():
 
 
 class TestResonanceMembership:
-    def test_exact_cancellation_quadruple(self):
-        flags = resonance_membership((3, -3, 3, -3), [0, 1])
-        assert flags.in_J and flags.in_R2
-
-    def test_momentum_only(self):
-        flags = resonance_membership((1, 2, 3, 0), [9])
-        assert flags.in_J and not flags.in_R2
-
-    def test_j2_counting(self):
-        flags = resonance_membership((1, 2, 3, 0), [1, 2])
-        assert flags.in_J2
-
-    def test_outside_j(self):
-        flags = resonance_membership((1, 1, 0, 0), [0])
-        assert not flags.in_J and flags.omega_kind is None
-
     def test_r2_multiset_test(self):
         assert is_r2(mono([3, -3], [3, -3]))
         assert is_r2(mono([1, 2], [-1, -2]))
@@ -109,6 +91,19 @@ class TestSolveHomological:
         nf = solve_homological(build_p4(3, fs), fs, A, with_remainder=True)
         assert nf.R6_truncated is not None
         assert {m.degree for m, _ in nf.R6_truncated} == {6}
+
+    @pytest.mark.parametrize("modes, mass", [((1,), 1.3), ((0, 1, 5), 1.2337)])
+    def test_remainder_is_the_halved_bracket_bitwise(self, modes, mass):
+        fs = FrequencySystem(mass)
+        A = AdmissibleSet(modes)
+        p4 = build_p4(5, fs)
+        nf = solve_homological(p4, fs, A, with_remainder=True)
+        expected = poisson_bracket(p4.total + nf.Z4 + nf.Q4, nf.chi4).scale(0.5)
+
+        def dump(poly):
+            return [(m, c.real.hex(), c.imag.hex()) for m, c in poly]
+
+        assert dump(nf.R6_truncated) == dump(expected)   # insertion order too
 
     def test_serialize_header(self, nf_015):
         nf, *_ = nf_015
@@ -202,13 +197,6 @@ class TestRescale:
         omega = fs.omega_vector(A)
         shift = np.abs(r.omega_of() - omega)
         assert np.all(shift <= r.lambda_shift_constant * r.nu)
-
-    def test_block_spectrum(self, rnf):
-        r, *_ = rnf
-        for a in (2, 7):
-            eigs = sorted(hamiltonian_block_spectrum(r, a).imag)
-            lam = float(r.lambda_of(a))
-            assert eigs == pytest.approx([-lam, lam], rel=1e-12)
 
     def test_jet_structure(self, rnf):
         r, *_ = rnf

@@ -1,16 +1,24 @@
+import dataclasses
+import functools
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavekam.birkhoff import rescale, solve_homological
+from wavekam import kamcheck
+from wavekam.birkhoff import RescaledNormalForm, rescale, solve_homological
 from wavekam.kamcheck import (
+    HypothesisReport,
+    Violation,
     check_a1,
     check_transversality,
     melnikov_scan,
     rho_grid,
 )
 from wavekam.polyham import build_p4
+from wavekam.smalldiv import DivisorRange
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 
 GENERIC_MASS = 1.31   # passes all three hypotheses at nu = 1e-4, N = 20, S = 60
@@ -150,3 +158,286 @@ class TestRhoGrid:
     def test_defaults_by_dimension(self):
         assert rho_grid(1).shape == (100, 1)
         assert rho_grid(3).shape == (27000, 3)
+
+
+# ---------------------------------------------------------------------------
+# Reference scans: one table pass per (k, rho) cell.  check_transversality
+# and melnikov_scan settle most cells on sorted dots and must report exactly
+# what these loops report, counts and violation order included.
+# ---------------------------------------------------------------------------
+
+def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None,
+                             force=False):
+    nu = rnf.nu
+    A = rnf.A
+    n = A.n
+    delta0 = 0.5 * nu / float(np.linalg.norm(np.linalg.inv(rnf.M), 2))
+    small_cap = nu ** (-gamma_exponent)
+    grid = rho_grid(n, points_per_dim, force)
+    rng = DivisorRange(A, N, S)
+    normals = rng.normals
+    lam_base = np.asarray(rnf.fs.lam(normals), dtype=float)
+    deriv_row = (3.0 / math.pi) * float(
+        np.linalg.norm(1.0 / rnf.fs.omega_vector(A), 2))
+    violations = []
+    checked = 0
+    branch_counts = {"value": 0, "derivative": 0, "resonant-pattern": 0}
+
+    def record(family, k, a, b, rho, value, required):
+        violations.append(Violation("A2", family, tuple(int(x) for x in k),
+                                    a, b, tuple(float(r) for r in rho),
+                                    float(value), float(required),
+                                    "value+derivative"))
+
+    def value_failures(k, rho, omega_k, lam, margin):
+        failures = []
+        required0 = nu ** 0.5 + margin
+        if abs(omega_k) < required0:
+            failures.append(("D0", None, None, omega_k, required0))
+        vals1 = omega_k + lam
+        req1 = nu ** (2.0 / 3.0) * rng.weights["D1"][:, 0] + margin
+        bad1 = np.abs(vals1) < req1
+        resonant = rng.resonant("D1", k)
+        for idx in np.nonzero(bad1)[0]:
+            a = int(normals[idx])
+            if (abs(a),) in resonant:
+                branch_counts["resonant-pattern"] += 1
+                if vals1[idx] == 0.0:
+                    record("D1", k, a, None, rho, 0.0, 0.0)
+                continue
+            failures.append(("D1", a, None, float(vals1[idx]), float(req1[idx])))
+        for family, sign in (("D2", 1.0), ("D3", -1.0)):
+            vals = vals1[:, None] + sign * lam[None, :]
+            req = nu ** (2.0 / 3.0) * rng.weights[family] + margin
+            bad = np.abs(vals) < req
+            if family == "D3":
+                bad &= rng.distinct
+            resonant = rng.resonant(family, k)
+            for i, j in zip(*np.nonzero(bad)):
+                a, b = int(normals[i]), int(normals[j])
+                if (abs(a), abs(b)) in resonant:
+                    branch_counts["resonant-pattern"] += 1
+                    if vals[i, j] == 0.0:
+                        record(family, k, a, b, rho, 0.0, 0.0)
+                    continue
+                failures.append((family, a, b, float(vals[i, j]), float(req[i, j])))
+        return failures
+
+    worst_allowance = 2.0 * deriv_row / float(np.min(lam_base))
+    for k in rng.ks:
+        kvec = np.array(k, dtype=float)
+        k_l1 = float(np.abs(kvec).sum())
+        margin = delta0 * k_l1
+        small = k_l1 <= small_cap
+        mk = float(np.linalg.norm(rnf.M @ kvec, 2))
+
+        def tuple_derivative_ok(a, b):
+            allowance = 0.0
+            for s in (a, b):
+                if s is not None:
+                    allowance += deriv_row / float(rnf.fs.lam(s))
+            return mk - allowance >= 1.0
+
+        for rho in grid:
+            checked += 1 + len(normals) * (1 + 2 * len(normals))
+            if not small and mk - worst_allowance >= 1.0:
+                branch_counts["derivative"] += 1
+                continue
+            omega_k = float(np.dot(kvec, rnf.omega_of(rho)))
+            lam = np.asarray(rnf.lambda_of(normals, rho))
+            failures = value_failures(k, rho, omega_k, lam, margin)
+            if not failures:
+                branch_counts["value"] += 1
+                continue
+            for family, a, b, value, required in failures:
+                if tuple_derivative_ok(a, b):
+                    branch_counts["derivative"] += 1
+                else:
+                    record(family, kvec, a, b, rho, value, required)
+    return HypothesisReport("A2", {}, checked, violations, branch_counts=branch_counts)
+
+
+def reference_melnikov(rnf, kappa, N, S, points_per_dim=None, force=False):
+    grid = rho_grid(rnf.A.n, points_per_dim, force)
+    rng = DivisorRange(rnf.A, N, S)
+    normals, pair_mask = rng.normals, rng.distinct
+    weights = kappa * rng.weights["D3"]
+    ks = [np.array(k, dtype=float) for k in rng.ks]
+    accepted_mask = []
+    checked = 0
+    violations = []
+    for rho in grid:
+        lam = np.asarray(rnf.lambda_of(normals, rho))
+        diff = lam[:, None] - lam[None, :]
+        omega = rnf.omega_of(rho)
+        ok = True
+        for kvec in ks:
+            vals = float(np.dot(kvec, omega)) + diff
+            checked += int(pair_mask.sum())
+            bad = pair_mask & (np.abs(vals) < weights)
+            if np.any(bad):
+                ok = False
+                i, j = next(zip(*np.nonzero(bad)))
+                a, b = int(normals[i]), int(normals[j])
+                value = float(np.dot(kvec, omega) + rnf.lambda_of(a, rho)
+                              - rnf.lambda_of(b, rho))
+                violations.append(Violation(
+                    "A3", "melnikov", tuple(int(x) for x in kvec), a, b,
+                    tuple(float(r) for r in rho), value,
+                    float(weights[i, j])))
+                break
+        accepted_mask.append(ok)
+    return HypothesisReport("A3", {}, checked, violations,
+                            accepted_fraction=sum(accepted_mask) / len(grid),
+                            accepted=accepted_mask)
+
+
+def assert_same_report(report, reference):
+    assert report.checked_count == reference.checked_count
+    assert report.branch_counts == reference.branch_counts
+    assert report.accepted == reference.accepted
+    assert report.accepted_fraction == reference.accepted_fraction
+    assert [v.as_line() for v in report.violations] == [
+        v.as_line() for v in reference.violations]
+    assert report.violations == reference.violations   # family and branch too
+
+
+MODE_SETS = [(1,), (2,), (0, 1), (0, 2), (1, 3), (0, 1, 5), (1, 2, 4)]
+MASSES = [1.05, 1.2337, 1.3, 1.31, 4.0 / 3.0, 1.41, 1.5, 1.77, 1.99]
+NUS = [1e-4, 1e-3, 1e-2]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_rnf(modes, mass, nu):
+    return make_rnf(mass=mass, modes=modes, nu=nu)
+
+
+@st.composite
+def scan_cases(draw):
+    modes = draw(st.sampled_from(MODE_SETS))
+    # grids small enough for the reference loops: at most ~30 rho points
+    points = draw(st.integers(1, {1: 30, 2: 5, 3: 3}[len(modes)]))
+    return (modes, draw(st.sampled_from(MASSES)), draw(st.sampled_from(NUS)),
+            draw(st.integers(1, 4)), draw(st.integers(1, 12)), points)
+
+
+class TestScreenedScansMatchLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(case=scan_cases(), gamma=st.sampled_from([0.25, 0.5]))
+    def test_transversality(self, case, gamma):
+        modes, mass, nu, N, S, points = case
+        rnf = cached_rnf(modes, mass, nu)
+        report = check_transversality(rnf, N, S, gamma_exponent=gamma,
+                                      points_per_dim=points)
+        assert_same_report(report, reference_transversality(
+            rnf, N, S, gamma_exponent=gamma, points_per_dim=points))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scan_cases(), kappa_share=st.sampled_from([1e-3, 0.1, 0.5, 0.99]))
+    def test_melnikov(self, case, kappa_share):
+        modes, mass, nu, N, S, points = case
+        rnf = cached_rnf(modes, mass, nu)
+        kappa = kappa_share * nu
+        report = melnikov_scan(rnf, kappa, N, S, points_per_dim=points)
+        assert_same_report(report, reference_melnikov(rnf, kappa, N, S,
+                                                       points_per_dim=points))
+
+    @pytest.mark.parametrize("modes, nu, N, S, points", [
+        ((1,), 1e-2, 10, 40, 12),          # violation-heavy, large-k skips
+        ((0, 1, 5), 1e-4, 3, 20, 3),       # the three_modes benchmark shape
+        ((0, 2), 1e-3, 4, 24, 4),
+    ])
+    def test_workload_shapes(self, modes, nu, N, S, points):
+        rnf = cached_rnf(modes, 1.2337 if len(modes) == 3 else 1.3, nu)
+        assert_same_report(
+            check_transversality(rnf, N, S, points_per_dim=points),
+            reference_transversality(rnf, N, S, points_per_dim=points))
+        for kappa in (1e-3 * nu, 0.5 * nu, 0.99 * nu):
+            assert_same_report(
+                melnikov_scan(rnf, kappa, N, S, points_per_dim=points),
+                reference_melnikov(rnf, kappa, N, S, points_per_dim=points))
+
+
+    @pytest.mark.parametrize("cell_block", [1, 50])
+    def test_results_do_not_depend_on_blocks(self, monkeypatch, cell_block):
+        monkeypatch.setattr(kamcheck, "CELL_BLOCK", cell_block)
+        rnf = cached_rnf((0, 1, 5), 1.41, 1e-3)
+        assert_same_report(check_transversality(rnf, 3, 10, points_per_dim=2),
+                           reference_transversality(rnf, 3, 10, points_per_dim=2))
+        for kappa in (1e-4, 9e-4):
+            assert_same_report(melnikov_scan(rnf, kappa, 3, 10, points_per_dim=2),
+                               reference_melnikov(rnf, kappa, 3, 10, points_per_dim=2))
+
+
+@dataclasses.dataclass
+class TiedRNF(RescaledNormalForm):
+    """Omega(rho) = (1 + rho_0 / 4, 2 + rho_1 / 2): k = (2, 0) and (0, 1) have
+    the same dot wherever rho_0 = rho_1, and (2, -1) has a zero dot there."""
+
+    def omega_of(self, rho: Optional[np.ndarray] = None) -> np.ndarray:
+        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
+        return np.array([1.0, 2.0]) + np.array([0.25, 0.5]) * rho
+
+
+def tied_rnf(nu):
+    rnf = cached_rnf((0, 2), 1.41, nu)
+    return TiedRNF(**{f.name: getattr(rnf, f.name) for f in dataclasses.fields(rnf)})
+
+
+class TestHandBuiltCases:
+    @pytest.mark.parametrize("nu", NUS)
+    def test_tied_dots(self, nu):
+        rnf = tied_rnf(nu)
+        dots = [float(np.dot(k, rnf.omega_of(np.array([1.5, 1.5]))))
+                for k in ((2.0, 0.0), (0.0, 1.0))]
+        assert dots[0] == dots[1]
+        assert_same_report(check_transversality(rnf, 4, 12, points_per_dim=5),
+                           reference_transversality(rnf, 4, 12, points_per_dim=5))
+        for kappa in (0.01 * nu, 0.5 * nu, 0.99 * nu):
+            report = melnikov_scan(rnf, kappa, 4, 12, points_per_dim=5)
+            assert_same_report(report, reference_melnikov(rnf, kappa, 4, 12,
+                                                          points_per_dim=5))
+
+    def test_d0_alone_fails(self):
+        # on the diagonal of the tied map k = (2, -1) has k . Omega = 0: D0
+        # fails there while every D1-D3 value stays far above its threshold
+        rnf = tied_rnf(1e-4)
+        report = check_transversality(rnf, 3, 6, points_per_dim=3)
+        assert report.branch_counts["derivative"] > 0
+        assert_same_report(report, reference_transversality(rnf, 3, 6, points_per_dim=3))
+
+    def test_violations_are_k_major(self):
+        rnf = cached_rnf((1,), 1.3, 1e-2)
+        ks = DivisorRange(rnf.A, 10, 40).ks
+        report = check_transversality(rnf, 10, 40, points_per_dim=6)
+        order = [(ks.index(v.k), v.rho) for v in report.violations]
+        assert len({k for k, _ in order}) > 1 and len({r for _, r in order}) > 1
+        assert order == sorted(order)
+
+
+class TestScreens:
+    @settings(max_examples=300, deadline=None)
+    @given(d_offset=st.floats(-1e-3, 1e-3), lam_i=st.floats(0.5, 60.0),
+           lam_j=st.floats(0.5, 60.0), sign=st.sampled_from([0.0, 1.0, -1.0]))
+    def test_near_flags_every_exact_failure(self, d_offset, lam_i, lam_j, sign):
+        # the exact test sums fl(fl(d + lam_i) +/- lam_j); the screen tests
+        # |d + x| with x = fl(lam_i +/- lam_j).  Put the threshold one ulp
+        # above the exact value: the cell fails, so it must be flagged.
+        x = lam_i + sign * lam_j
+        d = -x + d_offset
+        exact = d + lam_i
+        if sign:
+            exact = exact + sign * lam_j
+        required = np.nextafter(abs(exact), np.inf)
+        assert kamcheck._near(np.array([d]), np.array([x]), np.array([required]))[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(dots=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
+           x=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6),
+           ties=st.booleans())
+    def test_min_abs_sum_is_the_minimum(self, dots, x, ties):
+        if ties:
+            dots = dots + [-v for v in x] + dots
+        ds, x = np.sort(np.array(dots)), np.array(x)
+        brute = np.min(np.abs(ds[:, None] + x[None, :]), axis=0)
+        assert np.array_equal(kamcheck._min_abs_sum(ds, x), brute)

@@ -181,7 +181,6 @@ class TestMonomials:
         assert m.xi == (1, 1, 3)
         assert m.degree == 5
         assert m.momentum == 5 - 2
-        assert m.xi_exponents == {1: 2, 3: 1}
 
     def test_conjugate(self):
         m = mono([1], [0, 2])
@@ -349,6 +348,16 @@ class TestPoissonBracket:
         out = poisson_bracket(f, g)
         assert out.conserves_momentum()
         assert out.is_real_hamiltonian(tol=1e-10)
+
+
+class TestScaleInPlace:
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(4, max_terms=12),
+           st.sampled_from([0.5, -1.0, 1e-300, 0.0, 2.5 - 1j, 1j]))
+    def test_equals_scale_bitwise(self, f, factor):
+        expected = f.scale(factor)
+        f.scale_in_place(factor)
+        assert_bitwise_equal(f, expected)     # zeros dropped, order kept
 
 
 class TestBracketMatchesLoop:

@@ -32,3 +32,19 @@ def test_frequency_shift_csv_cells_are_plain_floats():
     for field in ("nu", "omega_linear", "omega_predicted", "omega_extracted",
                   "gap", "tolerance"):
         float(rows[0][field])
+
+
+def test_melnikov_sweep_csv_falls_with_kappa():
+    kappas = [1e-3, 2e-3, 3e-3, 4e-3]
+    text = run_script("melnikov_sweep", [
+        "--modes", "1", "--mass", "1.31", "--nu", "1e-2",
+        "--kappas", ",".join(repr(k) for k in kappas),
+        "--kmax", "3", "--smax", "12", "--rho-grid", "40"])
+    assert text.splitlines()[0] == "kappa,kmax,accepted_fraction,checked"
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 2 * len(kappas)              # kmax and 2 kmax per kappa
+    for kmax in ("3", "6"):
+        fractions = [float(r["accepted_fraction"]) for r in rows if r["kmax"] == kmax]
+        assert [float(r["kappa"]) for r in rows if r["kmax"] == kmax] == kappas
+        assert all(a >= b for a, b in zip(fractions, fractions[1:]))
+        assert fractions[0] == 1.0 and fractions[-1] < 1.0

@@ -121,7 +121,6 @@ class TestAdmissible:
         assert A.n_bound == 5
         assert A.a_minus == {-1, -5}
         assert A.is_tangential(5) and A.is_normal(-5)
-        assert A.in_l_infinity(7) and not A.in_l_infinity(-1)
         assert A.normal_modes(2) == [-2, -1, 2]
 
     def test_construction_rejects_bad_sets(self):
