@@ -32,8 +32,8 @@ from .polyham import (
     PolyHamiltonian,
     bracket_with_h2,
     mono,
-    monomial_divisor,
     poisson_bracket,
+    solve_h2_bracket,
 )
 from .spectrum import AdmissibleSet, FrequencySystem
 
@@ -46,21 +46,19 @@ def _tangential(A: ModeSetLike) -> frozenset[int]:
     return frozenset(int(a) for a in A)
 
 
-def tangential_count(m: Monomial, modes: frozenset[int]) -> int:
-    """Number of monomial factors (with multiplicity) indexed in the set."""
-    return sum(1 for s in m.xi if s in modes) + sum(1 for s in m.eta if s in modes)
+def tangential_counts(poly: PolyHamiltonian, modes: frozenset[int]) -> np.ndarray:
+    """Number of factors (with multiplicity) of each term indexed in the set."""
+    modes_table = np.isin(np.arange(-poly.cutoff, poly.cutoff + 1), list(modes))
+    xi, eta = poly.factor_values(modes_table, False)
+    return xi.sum(axis=1) + eta.sum(axis=1)
 
 
-def is_r2(m: Monomial) -> bool:
-    """(2,2) monomial whose divisor vanishes identically in the mass."""
-    if len(m.xi) != 2 or len(m.eta) != 2:
-        return False
-    return sorted(abs(s) for s in m.xi) == sorted(abs(s) for s in m.eta)
-
-
-def is_action(m: Monomial) -> bool:
-    """Pure action monomial I_l I_k: xi and eta indices pair identically."""
-    return sorted(m.xi) == sorted(m.eta)
+def r2_terms(poly: PolyHamiltonian) -> np.ndarray:
+    """(2,2) terms whose divisor vanishes identically in the mass: the xi and
+    eta indices have equal multisets of absolute values."""
+    xi, eta = poly.factor_values(np.abs(np.arange(-poly.cutoff, poly.cutoff + 1)), -1)
+    same = np.all(np.sort(xi, axis=1) == np.sort(eta, axis=1), axis=1)
+    return (poly.part_degrees()[0] == 2) & same
 
 
 class NearResonanceError(RuntimeError):
@@ -114,48 +112,28 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
     homological equation makes it equal to; it is quadratic in the term count.
     """
     modes = _tangential(A)
-    cutoff = p4.cutoff
-    chi_terms: dict[Monomial, complex] = {}
-    z_terms: dict[Monomial, complex] = {}
-    q_terms: dict[Monomial, complex] = {}
-    gamma_min = math.inf
-    worst: Optional[tuple[Monomial, float]] = None
-    for m, c in p4.total:
-        nxi = len(m.xi)
-        t = tangential_count(m, modes)
-        if nxi in (0, 4):
-            remove, gated = True, False
-        elif nxi in (1, 3):
-            remove, gated = t >= 2, True
-        else:
-            if t < 2:
-                remove, gated = False, False
-            elif is_r2(m):
-                remove, gated = False, False
-                z_terms[m] = c
-                continue
-            else:
-                remove, gated = True, True
-        if not remove:
-            q_terms[m] = c
-            continue
-        d = monomial_divisor(m, fs)
-        if gated:
-            if abs(d) < gamma_min:
-                gamma_min = abs(d)
-                worst = (m, d)
-            if abs(d) < gamma_threshold:
-                raise NearResonanceError(m, d, gamma_threshold)
-        chi_terms[m] = 1j * c / d
-    chi4 = PolyHamiltonian(cutoff, chi_terms)
-    z4 = PolyHamiltonian(cutoff, z_terms)
-    q4 = PolyHamiltonian(cutoff, q_terms)
-    defect = bracket_with_h2(chi4, fs).max_coeff_diff(z4 + q4 - p4.total)
-    scale = p4.total.max_abs_coeff() or 1.0
+    total = p4.total
+    n_xi, _ = total.part_degrees()
+    t = tangential_counts(total, modes)
+    ends = np.isin(n_xi, (0, 4))
+    resonant = (t >= 2) & r2_terms(total)
+    remove = ends | ((t >= 2) & ~resonant)
+    removed = total.filter(remove)
+    d = removed.divisors(fs)
+    gated = ~ends[remove]
+    low = np.flatnonzero(gated & (np.abs(d) < gamma_threshold))
+    if len(low):
+        (m, _), = removed.filter(low[:1])
+        raise NearResonanceError(m, float(d[low[0]]), gamma_threshold)
+    gamma_min = float(np.abs(d[gated]).min()) if gated.any() else math.inf
+    chi4 = solve_h2_bracket(removed, d)
+    z4 = total.filter(resonant)
+    q4 = total.filter(~remove & ~resonant)
+    defect = bracket_with_h2(chi4, fs).max_coeff_diff(z4 + q4 - total)
+    scale = total.max_abs_coeff() or 1.0
     r6 = None
     if with_remainder:
-        r6 = poisson_bracket(p4.total + z4 + q4, chi4)
-        r6.scale_in_place(0.5)   # the bracket's own dict: no second copy
+        r6 = poisson_bracket(total + z4 + q4, chi4).scale(0.5)
     return NormalFormResult(
         chi4=chi4,
         Z4=z4,
@@ -165,7 +143,7 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
         gamma_min=gamma_min,
         mass=fs.mass,
         modes=tuple(sorted(modes)),
-        cutoff=cutoff,
+        cutoff=p4.cutoff,
     )
 
 
@@ -197,22 +175,17 @@ def verify_zminus_vanishing(nf: NormalFormResult, A: ModeSetLike) -> ZVanishingR
     A survivor would indicate a mis-specified tangential set or a resonance
     misclassification; the enumeration counts are returned as evidence.
     """
-    modes = _tangential(A)
-    counts: dict[int, list[int]] = {r: [0, 0, 0] for r in (2, 3, 4)}
-    survivors: list[tuple[Monomial, complex]] = []
-    for m, c in nf.Z4:
-        r = tangential_count(m, modes)
-        if r not in counts:
-            counts[r] = [0, 0, 0]
-        counts[r][0] += 1
-        if is_action(m):
-            counts[r][1] += 1
-        else:
-            counts[r][2] += 1
-            survivors.append((m, c))
+    r = tangential_counts(nf.Z4, _tangential(A))
+    # pure action monomials I_l I_k: xi and eta indices pair identically
+    # (cutoff + 1, no mode, fills the slots past a part's last factor)
+    xi, eta = nf.Z4.factor_values(np.arange(-nf.cutoff, nf.cutoff + 1), nf.cutoff + 1)
+    action = np.all(xi == eta, axis=1)
+    # classes 2, 3 and 4, then any other count in order of first appearance
+    classes = dict.fromkeys([2, 3, 4] + r.tolist())
     return ZVanishingReport(
-        counts={r: tuple(v) for r, v in counts.items()},
-        survivors=survivors,
+        counts={k: (int(np.sum(r == k)), int(np.sum((r == k) & action)),
+                    int(np.sum((r == k) & ~action))) for k in classes},
+        survivors=list(nf.Z4.filter(~action)),
     )
 
 
@@ -328,26 +301,17 @@ def _jet_from_polynomial(poly: Optional[PolyHamiltonian], modes: frozenset[int],
     nL normal factors scales as nu^(deg/2 - 1); only nL <= 2 reaches the jet."""
     if poly is None or len(poly) == 0:
         return (0.0, 0.0, 0.0, 0.0)
-    value = grad_r = grad_z = hess_z = 0.0
-    for m, c in poly:
-        idx = list(m.xi) + list(m.eta)
-        normal = [s for s in idx if s not in modes]
-        tangential = [s for s in idx if s in modes]
-        n_l = len(normal)
-        if n_l > 2:
-            continue
-        scale = abs(c) * nu ** (m.degree / 2.0 - 1.0)
-        for s in tangential:
-            scale *= math.sqrt(rho_map[s])
-        if n_l == 0:
-            value += scale
-            # d/dr of prod sqrt(rho_a + r_a) at r = 0: one factor 1/(2 rho_a)
-            grad_r += scale * sum(0.5 / rho_map[s] for s in tangential)
-        elif n_l == 1:
-            grad_z += scale
-        else:
-            hess_z += scale
-    return (value, grad_r, grad_z, hess_z)
+    span = range(-poly.cutoff, poly.cutoff + 1)
+    sqrt_rho = [math.sqrt(rho_map[s]) if s in modes else 1.0 for s in span]
+    half_inv_rho = [0.5 / rho_map[s] if s in modes else 0.0 for s in span]
+    degree = sum(poly.part_degrees())
+    n_l = degree - tangential_counts(poly, modes)
+    scale = poly.abs_coeffs() * nu ** (degree / 2.0 - 1.0)
+    scale *= np.prod(np.concatenate(poly.factor_values(sqrt_rho, 1.0), axis=1), axis=1)
+    # d/dr of prod sqrt(rho_a + r_a) at r = 0: one factor 1/(2 rho_a)
+    grad = np.sum(np.concatenate(poly.factor_values(half_inv_rho, 0.0), axis=1), axis=1)
+    return (float(scale[n_l == 0].sum()), float((scale * grad)[n_l == 0].sum()),
+            float(scale[n_l == 1].sum()), float(scale[n_l == 2].sum()))
 
 
 def rescale(nf: NormalFormResult, fs: FrequencySystem, A: AdmissibleSet, nu: float,

@@ -240,6 +240,8 @@ def cmd_kamcheck(args: argparse.Namespace) -> int:
             raise ValueError(f"--nu must be positive, got {args.nu!r}")
         if args.rho_grid is not None and args.rho_grid < 1:
             raise ValueError(f"--rho-grid must be >= 1, got {args.rho_grid}")
+        if not A.normal_modes(args.smax):
+            raise ValueError(f"--smax {args.smax} leaves no normal mode to check")
         kappas = list(args.kappa_sweep or [])
         if args.hypothesis in ("a3", "all"):
             kappas.append(args.kappa)

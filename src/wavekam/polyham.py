@@ -1,16 +1,19 @@
 """Sparse polynomial Hamiltonians on the truncated Fourier phase space.
 
 State variables are (xi_s, eta_s) for |s| <= cutoff; on the real subspace
-eta_s = conj(xi_s).  A monomial is stored as a pair of sorted index tuples
-(with repetition), e.g. xi_1^2 eta_0 eta_3 -> ((1, 1), (0, 3)).  Canonical
+eta_s = conj(xi_s).  A monomial is a pair of sorted index tuples (with
+repetition), e.g. xi_1^2 eta_0 eta_3 -> ((1, 1), (0, 3)).  Canonical
 ordering is lexicographic on (xi indices, eta indices), which makes
 serialization deterministic and diffable.
 
-The tuples are the API.  build_p4 and poisson_bracket compute on numpy
-index rows instead, and add their contributions one at a time in the
-canonical order of the term-by-term loop (quadruple, then expansion term;
-f term, then g term, then side, then mode), so their coefficients are
-bitwise those of that loop and their terms come in the same order.
+The tuples are the API; the storage is index rows.  A PolyHamiltonian
+keeps one index row per term, in insertion order, beside the real and
+imaginary parts of its coefficients, and builds Monomials only when a
+caller iterates over it or looks a coefficient up.  Its algebra rounds as
+Python's complex arithmetic does, and the build_p4 and poisson_bracket
+kernels add their contributions one at a time in the order of the
+term-by-term loop, so coefficients are bitwise those of a dict of
+Monomials and terms come in the same order.
 
 Everything here is exact symbolic algebra over complex double coefficients;
 the only approximation anywhere is rounding.
@@ -18,13 +21,13 @@ the only approximation anywhere is rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .spectrum import FrequencySystem
 
@@ -57,87 +60,199 @@ def mono(xi: Iterable[int] = (), eta: Iterable[int] = ()) -> Monomial:
     return Monomial(tuple(sorted(xi)), tuple(sorted(eta)))
 
 
-class PolyHamiltonian:
-    """Sparse complex polynomial in (xi, eta) at a fixed Fourier cutoff."""
+# ---------------------------------------------------------------------------
+# Index rows
+# ---------------------------------------------------------------------------
+#
+# An index row holds a monomial's xi part, then its eta part, each `width`
+# (at least 1) wide: the indices sorted, offset by the cutoff, and padded at
+# the end with 2 cutoff + 1.
 
-    __slots__ = ("cutoff", "_terms")
+def _encode(monomials: Sequence[Monomial], cutoff: int, width: int = 1) -> np.ndarray:
+    """Index rows of monomials within the cutoff, each part at least `width` wide."""
+    width = max([width] + [max(len(m.xi), len(m.eta)) for m in monomials])
+    # pads given as c + 1, so that the offset by c turns them into 2 c + 1
+    padded = [(m.xi + (cutoff + 1,) * (width - len(m.xi)),
+               m.eta + (cutoff + 1,) * (width - len(m.eta))) for m in monomials]
+    rows = np.array(padded, dtype=np.int64).reshape(len(monomials), 2 * width) + cutoff
+    return rows.astype(np.min_scalar_type(2 * cutoff + 1))
+
+
+def _keys(rows: np.ndarray, pad: int) -> np.ndarray:
+    """One key per row, ordered as the rows lexicographically.
+
+    Rows are packed into int64 words of as many base-(pad + 1) digits as fit,
+    one word after another, so rows of any width compare exactly.  The key
+    is the one word itself, or the words' big-endian bytes.
+    """
+    base = pad + 1
+    digits = 1
+    while base ** (digits + 1) < 2 ** 63:
+        digits += 1
+    n_words = max(1, -(-rows.shape[1] // digits))
+    words = np.zeros((len(rows), n_words), dtype=np.int64)
+    for col in range(rows.shape[1]):
+        word = words[:, col // digits]
+        word *= base
+        word += rows[:, col]
+    if n_words == 1:
+        return words[:, 0]
+    be = np.ascontiguousarray(words, dtype=">i8")
+    return be.view(np.dtype((np.void, 8 * n_words))).ravel()
+
+
+def _find(rows: np.ndarray, queries: np.ndarray, pad: int) -> np.ndarray:
+    """Position of each query row among `rows` (distinct rows of the same
+    width), -1 where it is absent."""
+    if not len(rows):
+        return np.full(len(queries), -1)
+    keys, wanted = _keys(rows, pad), _keys(queries, pad)
+    order = np.argsort(keys)
+    at = np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)
+    return np.where(keys[order][at] == wanted, order[at], -1)
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product, (ar br - ai bi) + i (ar bi + ai br), on
+    real and imaginary parts, so that it rounds (signed zeros included)
+    exactly as Python's complex multiplication does."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, b):
+    """CPython's complex quotient (ar + i ai) / b for a real non-zero b,
+    which Python divides as the complex b + 0i; the parts then carry terms
+    ai * (0 / b) that can change the sign of a zero."""
+    ratio = 0.0 / b
+    denom = b + 0.0 * ratio
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+
+class PolyHamiltonian:
+    """Sparse complex polynomial in (xi, eta) at a fixed Fourier cutoff: index
+    rows in insertion order beside the parts of their non-zero coefficients."""
+
+    __slots__ = ("cutoff", "_rows", "_re", "_im")
 
     def __init__(self, cutoff: int, terms: Optional[dict[Monomial, complex]] = None):
         self.cutoff = int(cutoff)
-        self._terms: dict[Monomial, complex] = {}
-        if terms:
-            for m, c in terms.items():
-                if c != 0:
-                    if m.max_index() > self.cutoff:
-                        raise ValueError(f"monomial {m} exceeds cutoff {self.cutoff}")
-                    self._terms[m] = complex(c)
+        kept = [(m, complex(c)) for m, c in (terms or {}).items() if c != 0]
+        for m, _ in kept:
+            if m.max_index() > self.cutoff:
+                raise ValueError(f"monomial {m} exceeds cutoff {self.cutoff}")
+        self._rows = _encode([m for m, _ in kept], self.cutoff)
+        coeffs = np.array([c for _, c in kept], dtype=complex)
+        self._re, self._im = coeffs.real.copy(), coeffs.imag.copy()
 
     @classmethod
-    def _within_cutoff(cls, cutoff: int, terms: dict[Monomial, complex]) -> "PolyHamiltonian":
-        """Polynomial that takes over `terms`: non-zero complex coefficients
-        of monomials known to lie within the cutoff."""
+    def _from_rows(cls, cutoff: int, rows: np.ndarray, re: np.ndarray,
+                   im: np.ndarray) -> "PolyHamiltonian":
+        """Polynomial on distinct index rows of monomials within the cutoff;
+        terms whose coefficient is zero are dropped."""
+        keep = (re != 0) | (im != 0)
         poly = cls.__new__(cls)
         poly.cutoff = cutoff
-        poly._terms = terms
+        poly._rows, poly._re, poly._im = rows[keep], re[keep], im[keep]
         return poly
+
+    @property
+    def _pad(self) -> int:
+        return 2 * self.cutoff + 1
+
+    @property
+    def _width(self) -> int:
+        return self._rows.shape[1] // 2
+
+    def _widened(self, width: int) -> np.ndarray:
+        """The index rows with each part padded out to `width`."""
+        w = self._width
+        filler = np.full((len(self), width - w), self._pad, dtype=self._rows.dtype)
+        return np.concatenate([self._rows[:, :w], filler, self._rows[:, w:], filler], axis=1)
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._re)
 
     def __iter__(self) -> Iterator[tuple[Monomial, complex]]:
-        return iter(self._terms.items())
+        w = self._width
+        n_xi, n_eta = self.part_degrees()
+        rows = (self._rows.astype(np.int64) - self.cutoff).tolist()
+        monomials = (Monomial(tuple(row[:a]), tuple(row[w:w + b]))
+                     for row, a, b in zip(rows, n_xi.tolist(), n_eta.tolist()))
+        coeffs = np.empty(len(self), dtype=complex)
+        coeffs.real, coeffs.imag = self._re, self._im
+        return zip(monomials, coeffs.tolist())
 
     def coeff(self, m: Monomial) -> complex:
-        return self._terms.get(m, 0j)
-
-    def terms(self) -> dict[Monomial, complex]:
-        return dict(self._terms)
-
-    def sorted_terms(self) -> list[tuple[Monomial, complex]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        if m.max_index() > self.cutoff or max(len(m.xi), len(m.eta)) > self._width:
+            return 0j
+        at = int(_find(self._rows, _encode([m], self.cutoff, self._width), self._pad)[0])
+        return complex(self._re[at], self._im[at]) if at >= 0 else 0j
 
     @property
     def degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
+        return int(sum(self.part_degrees()).max(initial=0))
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        return float(self.abs_coeffs().max(initial=0.0))
+
+    # -- per-term arrays ------------------------------------------------------
+    def part_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Number of xi factors and of eta factors in each term."""
+        present = self._rows != self._pad
+        w = self._width
+        return present[:, :w].sum(axis=1), present[:, w:].sum(axis=1)
+
+    def factor_values(self, table, fill) -> tuple[np.ndarray, np.ndarray]:
+        """table[s + cutoff] for each xi factor s and each eta factor s of each
+        term, as two (terms, width) arrays in index order, `fill` past a
+        part's last factor."""
+        values = np.append(np.asarray(table), fill)
+        w = self._width
+        return values[self._rows[:, :w]], values[self._rows[:, w:]]
+
+    def divisors(self, fs: FrequencySystem) -> np.ndarray:
+        """Signed frequency combination sum_xi lambda - sum_eta lambda of
+        each term, each sum added factor by factor in index order."""
+        lam = fs.lam(np.arange(-self.cutoff, self.cutoff + 1))
+        xi, eta = self.factor_values(lam, 0.0)
+        return np.add.accumulate(xi, axis=1)[:, -1] - np.add.accumulate(eta, axis=1)[:, -1]
+
+    def abs_coeffs(self) -> np.ndarray:
+        """|c| of each term, as Python's abs(complex) rounds it."""
+        return np.hypot(self._re, self._im)
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
+        """The sum in the order of a dict filled from self, then from other;
+        a shared term keeps its place and a zero sum is dropped."""
         self._check_cutoff(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            new = out.get(m, 0j) + c
-            if new == 0:
-                out.pop(m, None)
-            else:
-                out[m] = new
-        return PolyHamiltonian._within_cutoff(self.cutoff, out)
+        width = max(self._width, other._width)
+        rows, other_rows = self._widened(width), other._widened(width)
+        at = _find(rows, other_rows, self._pad)
+        shared, new = at >= 0, at < 0
+        re, im = self._re.copy(), self._im.copy()
+        re[at[shared]] += other._re[shared]
+        im[at[shared]] += other._im[shared]
+        # a new key's coefficient is 0j + c, which turns -0.0 into 0.0
+        return PolyHamiltonian._from_rows(
+            self.cutoff, np.concatenate([rows, other_rows[new]]),
+            np.concatenate([re, 0.0 + other._re[new]]),
+            np.concatenate([im, 0.0 + other._im[new]]))
 
     def __sub__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         return self + other.scale(-1.0)
 
     def scale(self, factor: complex) -> "PolyHamiltonian":
-        scaled = ((m, complex(c * factor)) for m, c in self._terms.items())
-        return PolyHamiltonian._within_cutoff(self.cutoff, {m: c for m, c in scaled if c != 0})
+        factor = complex(factor)
+        re, im = _cmul(self._re, self._im, factor.real, factor.imag)
+        return PolyHamiltonian._from_rows(self.cutoff, self._rows, re, im)
 
-    def scale_in_place(self, factor: complex) -> None:
-        """self.scale(factor) without the copy, for a polynomial that no one
-        else holds: the same coefficients and the same term order."""
-        zeros = []
-        for m, c in self._terms.items():
-            scaled = complex(c * factor)
-            self._terms[m] = scaled
-            if scaled == 0:
-                zeros.append(m)
-        for m in zeros:
-            del self._terms[m]
-
-    def filter(self, predicate: Callable[[Monomial], bool]) -> "PolyHamiltonian":
-        return PolyHamiltonian._within_cutoff(
-            self.cutoff, {m: c for m, c in self._terms.items() if predicate(m)})
+    def filter(self, keep) -> "PolyHamiltonian":
+        """The terms that a boolean mask (or an index array) over the terms
+        selects, in their order."""
+        return PolyHamiltonian._from_rows(self.cutoff, self._rows[keep],
+                                          self._re[keep], self._im[keep])
 
     def _check_cutoff(self, other: "PolyHamiltonian") -> None:
         if self.cutoff != other.cutoff:
@@ -146,43 +261,48 @@ class PolyHamiltonian:
     # -- structural predicates ----------------------------------------------
     def is_real_hamiltonian(self, tol: float = 1e-12) -> bool:
         """Real-valued on the real subspace: c(xi^a eta^b) == conj(c(xi^b eta^a))."""
-        scale = self.max_abs_coeff() or 1.0
-        for m, c in self._terms.items():
-            if abs(c - self.coeff(m.conjugate()).conjugate()) > tol * scale:
-                return False
-        return True
+        w = self._width
+        conjugate = PolyHamiltonian._from_rows(
+            self.cutoff, np.roll(self._rows, w, axis=1), self._re, -self._im)
+        return (self - conjugate).max_abs_coeff() <= tol * (self.max_abs_coeff() or 1.0)
 
     def conserves_momentum(self) -> bool:
-        return all(m.momentum == 0 for m in self._terms)
+        xi, eta = self.factor_values(np.arange(-self.cutoff, self.cutoff + 1), 0)
+        return bool(np.all(xi.sum(axis=1) == eta.sum(axis=1)))
 
     def max_coeff_diff(self, other: "PolyHamiltonian") -> float:
         """Coefficientwise max |self - other|."""
-        self._check_cutoff(other)
-        keys = set(self._terms) | set(other._terms)
-        return max((abs(self.coeff(m) - other.coeff(m)) for m in keys), default=0.0)
+        return (self - other).max_abs_coeff()
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, z: "PhasePoint") -> complex:
-        total = 0j
-        for m, c in self._terms.items():
-            prod = c
-            for s in m.xi:
-                prod *= z.xi_of(s)
-            for s in m.eta:
-                prod *= z.eta_of(s)
-            total += prod
-        return total
+        (xi, _), (_, eta) = self.factor_values(z.xi, 1.0), self.factor_values(z.eta, 1.0)
+        terms = (self._re + 1j * self._im) * np.prod(xi, axis=1) * np.prod(eta, axis=1)
+        return complex(terms.sum())
 
     # -- serialization ---------------------------------------------------------
     def serialize(self) -> str:
-        """One line per monomial: "xi:<idx^exp,...> eta:<...> re:<..> im:<..>"."""
+        """One line per monomial in Monomial order:
+        "xi:<idx^exp,...> eta:<...> re:<..> im:<..>"."""
+        # with the pad mapped to 0 ahead of every index, a lexsort of the rows
+        # is tuple order, where (1,) comes before (1, 2)
+        order = np.lexsort(((self._rows.astype(np.int64) + 1) % (self._pad + 1)).T[::-1])
+        rows = self._rows[order]
+        w = self._width
         lines = [f"# cutoff: {self.cutoff}"]
-        for m, c in self.sorted_terms():
-            lines.append(
-                f"xi:{_fmt_exponents(m.xi)} eta:{_fmt_exponents(m.eta)} "
-                f"re:{c.real!r} im:{c.imag!r}"
-            )
+        lines += [f"xi:{x} eta:{e} re:{re!r} im:{im!r}" for x, e, re, im in zip(
+            self._exponent_texts(rows[:, :w]), self._exponent_texts(rows[:, w:]),
+            self._re[order].tolist(), self._im[order].tolist())]
         return "\n".join(lines) + "\n"
+
+    def _exponent_texts(self, part: np.ndarray) -> list[str]:
+        """"<idx^exp,...>" of each row of one part ("-" for none), formatted
+        once per distinct row from its runs of equal indices."""
+        distinct, inverse = np.unique(part, axis=0, return_inverse=True)
+        texts = [",".join(f"{s - self.cutoff}^{len(list(run))}"
+                          for s, run in itertools.groupby(row) if s != self._pad) or "-"
+                 for row in distinct.tolist()]
+        return [texts[i] for i in inverse.ravel().tolist()]
 
     @classmethod
     def deserialize(cls, text: str) -> "PolyHamiltonian":
@@ -203,13 +323,6 @@ class PolyHamiltonian:
         if cutoff is None:
             raise ValueError("missing cutoff header")
         return cls(cutoff, terms)
-
-
-def _fmt_exponents(indices: tuple[int, ...]) -> str:
-    if not indices:
-        return "-"
-    counts = Counter(indices)
-    return ",".join(f"{s}^{e}" for s, e in sorted(counts.items()))
 
 
 def _parse_exponents(text: str) -> list[int]:
@@ -283,50 +396,9 @@ def weighted_norm(z: PhasePoint, p: NormParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Convolution on mode-indexed sequences
-# ---------------------------------------------------------------------------
-
-def convolution(v: dict[int, complex], w: dict[int, complex]) -> dict[int, complex]:
-    """(v * w)_l = sum_{i+j=l} v_i w_j on finite supports.
-
-    Summands are accumulated in a canonical order that is symmetric under
-    swapping the arguments, so commutativity holds bitwise.
-    """
-    buckets: dict[int, list] = defaultdict(list)
-    for i, vi in v.items():
-        for j, wj in w.items():
-            buckets[i + j].append((min(i, j), max(i, j), vi * wj))
-    out: dict[int, complex] = {}
-    for l, items in buckets.items():
-        items.sort(key=lambda t: (t[0], t[1], t[2].real, t[2].imag))
-        total = sum(c for _, _, c in items)
-        if total != 0:
-            out[l] = total
-    return out
-
-
-def sequence_norm(v: dict[int, complex], alpha: float) -> float:
-    return math.sqrt(sum(abs(c) ** 2 * max(abs(s), 1) ** (2 * alpha) for s, c in v.items()))
-
-
-def convolution_algebra_constant(alpha: float) -> float:
-    """Constant C(alpha) with ||v*w||_alpha <= C ||v||_alpha ||w||_alpha.
-
-    C(alpha) = 2^alpha sqrt(2 sum_i <i>^(-2 alpha)), finite for alpha > 1/2;
-    the mode sum is 1 + 2 zeta(2 alpha).
-    """
-    if alpha <= 0.5:
-        raise ValueError("alpha must exceed 1/2")
-    mode_sum = 1.0 + 2.0 * float(_zeta(2 * alpha))
-    return 2.0 ** alpha * math.sqrt(2.0 * mode_sum)
-
-
-# ---------------------------------------------------------------------------
 # Index-row kernels
 # ---------------------------------------------------------------------------
 #
-# An index row holds a monomial's xi part or eta part as sorted small
-# integers, offset by the cutoff and padded at the end with 2 cutoff + 1.
 # build_p4 and poisson_bracket generate their contributions a block at a
 # time, in the order of the loop they stand for, and _GroupSum adds them one
 # at a time in that order: each coefficient is the sequential sum
@@ -334,17 +406,6 @@ def convolution_algebra_constant(alpha: float) -> float:
 
 # contribution rows generated and summed at a time
 BLOCK_ROWS = 1 << 14
-# result rows decoded into monomials at a time (as Python lists, ~200 B a row)
-DECODE_ROWS = 1 << 12
-
-_INT64_MAX = 2 ** 63 - 1
-
-
-def _cmul(ar, ai, br, bi):
-    """CPython's complex product, (ar br - ai bi) + i (ar bi + ai br), on
-    real and imaginary parts, so that it rounds (signed zeros included)
-    exactly as Python's complex multiplication does."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _blocks(cost: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -359,50 +420,31 @@ def _blocks(cost: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-class _TermRows:
-    """A polynomial's terms as index rows, in insertion order."""
-
-    def __init__(self, poly: PolyHamiltonian):
-        c = poly.cutoff
-        self.pad = 2 * c + 1
-        width = poly.degree
-        # pads given as c + 1, so that the offset by c turns them into 2 c + 1
-        padded = [(m.xi + (c + 1,) * (width - len(m.xi)), m.eta + (c + 1,) * (width - len(m.eta)))
-                  for m in poly._terms]
-        rows = (np.array(padded, dtype=np.int64) + c).astype(np.min_scalar_type(self.pad))
-        self.xi, self.eta = rows[:, 0], rows[:, 1]
-        coeffs = np.array(list(poly._terms.values()), dtype=complex)
-        self.re, self.im = coeffs.real.copy(), coeffs.imag.copy()
-        self.degree = np.fromiter((m.degree for m in poly._terms), np.int64, len(padded))
-        self.xi_count = self._counts(self.xi)
-        self.eta_count = self._counts(self.eta)
-
-    def factors(self, count: np.ndarray, drop_xi: bool):
-        """Every (term, mode j) with count[term, j] > 0, by j then term: the
-        term, j, the exponent as a float, and the term's xi and eta rows with
-        one factor j taken out of the xi part (drop_xi) or the eta part."""
-        mode, term = np.nonzero(count.T)
-        xi, eta = self.xi[term], self.eta[term]
-        rows = xi if drop_xi else eta
-        if len(term):
-            rows[np.arange(len(term)), np.argmax(rows == mode[:, None], axis=1)] = self.pad
-        return term, mode, count[term, mode].astype(float), xi, eta
-
-    def _counts(self, rows: np.ndarray) -> np.ndarray:
-        """Exponent of each mode (columns -cutoff..cutoff) in each row."""
-        counts = np.zeros((len(rows), self.pad + 1), dtype=np.min_scalar_type(rows.shape[1]))
-        for column in rows.T:
-            counts[np.arange(len(rows)), column] += 1
-        return counts[:, :self.pad]
+def _factors(poly: PolyHamiltonian, drop_xi: bool):
+    """Every (term, mode j) where j is a factor of the term's xi part
+    (drop_xi) or eta part, by j then term: the term, j, the exponent as a
+    float, and the term's xi and eta rows with one factor j taken out of
+    that part."""
+    w, pad = poly._width, poly._pad
+    xi, eta = poly._rows[:, :w], poly._rows[:, w:]
+    part = xi if drop_xi else eta
+    # exponent of each mode (columns -cutoff..cutoff, then the pad) in each term
+    count = np.zeros((len(part), pad + 1), dtype=np.min_scalar_type(w))
+    for column in part.T:
+        count[np.arange(len(part)), column] += 1
+    mode, term = np.nonzero(count[:, :pad].T)
+    xi, eta = xi[term], eta[term]
+    rows = xi if drop_xi else eta
+    if len(term):
+        rows[np.arange(len(term)), np.argmax(rows == mode[:, None], axis=1)] = pad
+    return term, mode, count[term, mode].astype(float), xi, eta
 
 
 class _GroupSum:
     """Sums of contributions keyed by index rows (xi part, then eta part,
     each `width` wide), added one at a time in the order given.
 
-    Rows are packed into int64 words of as many base-(pad + 1) digits as
-    fit, one word after another, so keys of any width compare exactly.  The
-    keys seen so far are kept sorted, beside the id of each: its rank in
+    The keys seen so far are kept sorted, beside the id of each: its rank in
     order of first appearance.
     """
 
@@ -410,46 +452,25 @@ class _GroupSum:
         self.cutoff = cutoff
         self.width = width
         self.pad = 2 * cutoff + 1
-        self._base = self.pad + 1
-        self._digits = 1
-        while self._base ** (self._digits + 1) <= _INT64_MAX:
-            self._digits += 1
-        self._n_words = max(1, -(-2 * width // self._digits))
-        self._known = self._keys(np.zeros((0, self._n_words), dtype=np.int64))
+        self._known = _keys(np.zeros((0, 2 * width), dtype=np.int64), self.pad)
         self._known_ids = np.zeros(0, dtype=np.intp)
         self._rows: list[np.ndarray] = []
         self._re = np.zeros(0)
         self._im = np.zeros(0)
 
-    def _words(self, rows: np.ndarray) -> np.ndarray:
-        words = np.zeros((len(rows), self._n_words), dtype=np.int64)
-        for col in range(rows.shape[1]):
-            word = words[:, col // self._digits]
-            word *= self._base
-            word += rows[:, col]
-        return words
-
-    def _keys(self, words: np.ndarray) -> np.ndarray:
-        """One sortable key per row, ordered as the words lexicographically:
-        the word itself, or the words' big-endian bytes."""
-        if self._n_words == 1:
-            return words[:, 0]
-        be = np.ascontiguousarray(words, dtype=">i8")
-        return be.view(np.dtype((np.void, 8 * self._n_words))).ravel()
-
     def add(self, rows: np.ndarray, re: np.ndarray, im: np.ndarray) -> None:
         """Add re[k] + i im[k] to the coefficient of rows[k], for k in order."""
         if not len(rows):
             return
-        words = self._words(rows)
-        order = np.lexsort(words.T[::-1])
-        ordered = words[order]
+        keys = _keys(rows, self.pad)
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
         starts = np.ones(len(rows), dtype=bool)
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+        starts[1:] = ordered[1:] != ordered[:-1]
         group = np.cumsum(starts) - 1
-        # lexsort is stable, so a group's first sorted row is its earliest
+        # the sort is stable, so a group's first sorted row is its earliest
         first = order[starts]
-        keys = self._keys(ordered[starts])
+        keys = ordered[starts]
         at = np.searchsorted(self._known, keys)
         found = at < len(self._known)
         found[found] = self._known[at[found]] == keys[found]
@@ -471,24 +492,11 @@ class _GroupSum:
         np.add.at(self._im, target, im)
 
     def result(self) -> PolyHamiltonian:
-        """The sums as a polynomial, zero coefficients dropped, terms in
-        order of first appearance."""
-        keep = (self._re != 0) | (self._im != 0)
-        rows = np.concatenate(self._rows or [np.zeros((0, 2 * self.width), np.int64)])[keep]
-        coeffs = np.empty(len(rows), dtype=complex)
-        coeffs.real, coeffs.imag = self._re[keep], self._im[keep]
-        terms: dict[Monomial, complex] = {}
-        for lo in range(0, len(rows), DECODE_ROWS):
-            block = rows[lo:lo + DECODE_ROWS]
-            xi, eta = block[:, :self.width], block[:, self.width:]
-            n_xi = np.count_nonzero(xi != self.pad, axis=1).tolist()
-            n_eta = np.count_nonzero(eta != self.pad, axis=1).tolist()
-            xi = (xi.astype(np.int64) - self.cutoff).tolist()
-            eta = (eta.astype(np.int64) - self.cutoff).tolist()
-            monos = (Monomial(tuple(x[:a]), tuple(e[:b]))
-                     for x, a, e, b in zip(xi, n_xi, eta, n_eta))
-            terms.update(zip(monos, coeffs[lo:lo + DECODE_ROWS].tolist()))
-        return PolyHamiltonian._within_cutoff(self.cutoff, terms)
+        """The sums as a polynomial on their rows, zero coefficients dropped,
+        terms in order of first appearance."""
+        rows = np.concatenate(self._rows or [
+            np.zeros((0, 2 * self.width), dtype=np.min_scalar_type(self.pad))])
+        return PolyHamiltonian._from_rows(self.cutoff, rows, self._re, self._im)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +523,14 @@ def poisson_bracket(f: PolyHamiltonian, g: PolyHamiltonian,
         width = min(width, max_degree)
     if not len(f) or not len(g) or width < 0:
         return PolyHamiltonian(cutoff)
-    F, G = _TermRows(f), _TermRows(g)
-    n_modes = F.pad
-    f_re, f_im = _cmul(0.0, 1.0, F.re, F.im)          # 1j c_f
+    # a product's part holds one part of each term, less the factor taken out
+    width = max(1, min(width, f._width + g._width - 1))
+    n_modes = f._pad
+    f_degree, g_degree = (sum(p.part_degrees()) for p in (f, g))
+    f_re, f_im = _cmul(0.0, 1.0, f._re, f._im)          # 1j c_f
     # side 0 pairs eta_j in f with xi_j in g, side 1 xi_j in f with eta_j in g
-    sides = [(F.factors(F.eta_count, drop_xi=False), G.factors(G.xi_count, drop_xi=True)),
-             (F.factors(F.xi_count, drop_xi=True), G.factors(G.eta_count, drop_xi=False))]
+    sides = [(_factors(f, drop_xi=False), _factors(g, drop_xi=True)),
+             (_factors(f, drop_xi=True), _factors(g, drop_xi=False))]
     # contributions of each f term, to cut f into blocks
     g_len = [np.bincount(g_entries[1], minlength=n_modes) for _, g_entries in sides]
     cost = sum(np.bincount(f_entries[0], g_len[side][f_entries[1]], minlength=len(f))
@@ -538,13 +548,13 @@ def poisson_bracket(f: PolyHamiltonian, g: PolyHamiltonian,
             b = np.arange(len(a)) + np.repeat(
                 np.searchsorted(g_mode, f_mode[e]) - np.cumsum(n_pairs) + n_pairs, n_pairs)
             if max_degree is not None:
-                keep = F.degree[f_term[a]] + G.degree[g_term[b]] - 2 <= max_degree
+                keep = f_degree[f_term[a]] + g_degree[g_term[b]] - 2 <= max_degree
                 a, b = a[keep], b[keep]
             xi = np.sort(np.concatenate([f_xi[a], g_xi[b]], axis=1), axis=1)
             eta = np.sort(np.concatenate([f_eta[a], g_eta[b]], axis=1), axis=1)
             rows.append(np.concatenate([xi[:, :width], eta[:, :width]], axis=1))
             fa, gb = f_term[a], g_term[b]
-            c_re, c_im = _cmul(f_re[fa], f_im[fa], G.re[gb], G.im[gb])
+            c_re, c_im = _cmul(f_re[fa], f_im[fa], g._re[gb], g._im[gb])
             c_re, c_im = _cmul(c_re, c_im, f_exp[a], 0.0)
             c_re, c_im = _cmul(c_re, c_im, g_exp[b], 0.0)
             if side == 1:
@@ -560,19 +570,18 @@ def poisson_bracket(f: PolyHamiltonian, g: PolyHamiltonian,
 
 def bracket_with_h2(f: PolyHamiltonian, fs: FrequencySystem) -> PolyHamiltonian:
     """{H2, f} computed by the diagonal rule: each monomial xi^a eta^b is
-    scaled by i (sum_a lambda - sum_b lambda).  Must agree with the generic
-    bracket against build_h2 exactly."""
-    out: dict[Monomial, complex] = {}
-    for m, c in f:
-        new = 1j * monomial_divisor(m, fs) * c
-        if new != 0:
-            out[m] = new
-    return PolyHamiltonian(f.cutoff, out)
+    scaled by i (sum_a lambda - sum_b lambda), rounded as Python's
+    1j * d * c.  Must agree with the generic bracket against build_h2
+    exactly."""
+    re, im = _cmul(*_cmul(0.0, 1.0, f.divisors(fs), 0.0), f._re, f._im)
+    return PolyHamiltonian._from_rows(f.cutoff, f._rows, re, im)
 
 
-def monomial_divisor(m: Monomial, fs: FrequencySystem) -> float:
-    """Signed frequency combination sum_xi lambda - sum_eta lambda."""
-    return float(sum(fs.lam(s) for s in m.xi) - sum(fs.lam(s) for s in m.eta))
+def solve_h2_bracket(f: PolyHamiltonian, divisors: np.ndarray) -> PolyHamiltonian:
+    """chi with {H2, chi} = -f, given the non-zero divisors of f's terms:
+    each coefficient c becomes i c / d, rounded as Python's 1j * c / d."""
+    re, im = _cdiv(*_cmul(0.0, 1.0, f._re, f._im), divisors)
+    return PolyHamiltonian._from_rows(f.cutoff, f._rows, re, im)
 
 
 # Lie-series terms after which a series that has not vanished is refused
@@ -618,17 +627,20 @@ class P4Split:
 
     total: PolyHamiltonian
 
+    def _xi_degree_in(self, degrees: tuple[int, ...]) -> PolyHamiltonian:
+        return self.total.filter(np.isin(self.total.part_degrees()[0], degrees))
+
     @property
     def p0(self) -> PolyHamiltonian:
-        return self.total.filter(lambda m: len(m.xi) in (0, 4))
+        return self._xi_degree_in((0, 4))
 
     @property
     def p1(self) -> PolyHamiltonian:
-        return self.total.filter(lambda m: len(m.xi) in (1, 3))
+        return self._xi_degree_in((1, 3))
 
     @property
     def p2(self) -> PolyHamiltonian:
-        return self.total.filter(lambda m: len(m.xi) == 2)
+        return self._xi_degree_in((2,))
 
     @property
     def cutoff(self) -> int:

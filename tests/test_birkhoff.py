@@ -7,15 +7,21 @@ from wavekam.birkhoff import (
     NearResonanceError,
     det_m_closed_form,
     frequency_matrix,
-    is_action,
-    is_r2,
+    r2_terms,
     rescale,
     solve_homological,
-    tangential_count,
+    tangential_counts,
     verify_zminus_vanishing,
     z4_action_coefficient_table,
 )
-from wavekam.polyham import build_h2, build_p4, lie_transform, mono, poisson_bracket
+from wavekam.polyham import (
+    PolyHamiltonian,
+    build_h2,
+    build_p4,
+    lie_transform,
+    mono,
+    poisson_bracket,
+)
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 
 
@@ -29,9 +35,22 @@ def nf_015():
 
 class TestResonanceMembership:
     def test_r2_multiset_test(self):
-        assert is_r2(mono([3, -3], [3, -3]))
-        assert is_r2(mono([1, 2], [-1, -2]))
-        assert not is_r2(mono([1, 2], [3, 0]))
+        poly = PolyHamiltonian(3, {
+            mono([3, -3], [3, -3]): 1.0,
+            mono([1, 2], [-1, -2]): 1.0,
+            mono([1, 2], [3, 0]): 1.0,
+            mono([1, -1, 2], [2]): 1.0,     # equal |.| multisets, not (2,2)
+            mono([1, 1], [1, -1]): 1.0,
+        })
+        assert r2_terms(poly).tolist() == [True, True, False, False, True]
+
+    def test_tangential_counts(self):
+        poly = PolyHamiltonian(5, {
+            mono([1, 1], [5, 0]): 1.0,
+            mono([], [1, 1, 1, -1]): 1.0,
+            mono([2, 3], [2, 3]): 1.0,
+        })
+        assert tangential_counts(poly, frozenset({0, 1, 5})).tolist() == [4, 3, 0]
 
 
 class TestSolveHomological:
@@ -46,7 +65,7 @@ class TestSolveHomological:
     def test_z4_action_monomials_only(self, nf_015):
         nf, *_ = nf_015
         for m, _ in nf.Z4:
-            assert is_action(m)
+            assert m.xi == m.eta
 
     def test_z4_plus_table(self, nf_015):
         nf, _, A, _ = nf_015
@@ -59,7 +78,7 @@ class TestSolveHomological:
         nf, _, A, _ = nf_015
         modes = frozenset(A.modes)
         for m, _ in nf.Q4:
-            t = tangential_count(m, modes)
+            t = sum(s in modes for s in m.xi + m.eta)
             if len(m.xi) in (1, 3):
                 assert t < 2
             else:
@@ -205,6 +224,43 @@ class TestRescale:
         assert 0.05 * nu < r.jet.r2_block_norm < 0.5 * nu
         assert r.jet.jet_total <= nu ** 1.5
         assert r.jet.r6_jet_norm > 0.0
+
+    @pytest.mark.parametrize("modes, mass, cutoff, rho", [
+        ((1,), 1.3, 4, [1.5]),
+        ((0, 1, 5), 1.2337, 6, [1.2, 1.7, 1.01]),
+        ((1, 2), 1.41, 5, [2.0, 1.3]),
+    ])
+    def test_jet_matches_monomial_loop(self, modes, mass, cutoff, rho):
+        # the l1 sizes summed monomial by monomial, as the jet was computed
+        # before it ran on arrays; the order of the sums differs, so the
+        # sizes agree to rounding
+        def loop(poly, tangential, nu, rho_map):
+            value = grad_r = grad_z = hess_z = 0.0
+            for m, c in poly:
+                idx = list(m.xi) + list(m.eta)
+                on = [s for s in idx if s in tangential]
+                n_l = len(idx) - len(on)
+                scale = abs(c) * nu ** (m.degree / 2.0 - 1.0)
+                for s in on:
+                    scale *= math.sqrt(rho_map[s])
+                if n_l == 0:
+                    value += scale
+                    grad_r += scale * sum(0.5 / rho_map[s] for s in on)
+                elif n_l == 1:
+                    grad_z += scale
+                elif n_l == 2:
+                    hess_z += scale
+            return value, grad_r, grad_z, hess_z
+
+        fs, A, nu = FrequencySystem(mass), AdmissibleSet(modes), 1e-3
+        nf = solve_homological(build_p4(cutoff, fs), fs, A, with_remainder=True)
+        jet = rescale(nf, fs, A, nu, rho).jet
+        rho_map = dict(zip(modes, rho))
+        q4, r6 = (loop(p, set(modes), nu, rho_map) for p in (nf.Q4, nf.R6_truncated))
+        got = (jet.value_norm, jet.grad_r_norm, jet.grad_zeta_norm, jet.hess_zeta_norm,
+               jet.q4_jet_norm, jet.r6_jet_norm)
+        expected = tuple(a + b for a, b in zip(q4, r6)) + (sum(q4), sum(r6))
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_validation(self, rnf):
         _, fs, A = rnf

@@ -114,6 +114,16 @@ class TestKamcheck:
             assert "error:" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("hypothesis", ["a1", "a2", "a3", "all"])
+    def test_no_normal_mode_is_usage_error(self, tmp_path, capsys, hypothesis):
+        # |s| <= 0 holds only the tangential mode 0: nothing to check is not
+        # a verified hypothesis
+        out = tmp_path / hypothesis
+        assert run(["kamcheck", "--modes", "0", "--smax", "0", "--rho-grid", "2",
+                    "--hypothesis", hypothesis, "--output-dir", str(out)]) == 2
+        assert "no normal mode" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_written(self, tmp_path):
         run(["kamcheck", "--modes", "1", "--rho-grid", "3",
              "--hypothesis", "a1", "--output-dir", str(tmp_path)])

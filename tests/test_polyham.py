@@ -16,8 +16,6 @@ from wavekam.polyham import (
     build_h2,
     build_interaction,
     build_p4,
-    convolution,
-    convolution_algebra_constant,
     gradient,
     hessian,
     lie_transform,
@@ -25,7 +23,7 @@ from wavekam.polyham import (
     mono,
     poisson_bracket,
     radial_scaling_fit,
-    sequence_norm,
+    solve_h2_bracket,
     weighted_norm,
 )
 from wavekam.spectrum import FrequencySystem
@@ -350,14 +348,115 @@ class TestPoissonBracket:
         assert out.is_real_hamiltonian(tol=1e-10)
 
 
-class TestScaleInPlace:
-    @settings(max_examples=100, deadline=None)
-    @given(polynomials(4, max_terms=12),
-           st.sampled_from([0.5, -1.0, 1e-300, 0.0, 2.5 - 1j, 1j]))
-    def test_equals_scale_bitwise(self, f, factor):
-        expected = f.scale(factor)
-        f.scale_in_place(factor)
-        assert_bitwise_equal(f, expected)     # zeros dropped, order kept
+# ---------------------------------------------------------------------------
+# Dict-of-Monomial references for the row storage
+# ---------------------------------------------------------------------------
+
+def dict_poly(terms):
+    """The constructor's terms: zero coefficients dropped, order kept."""
+    return {m: complex(c) for m, c in terms.items() if c != 0}
+
+
+def dict_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        new = out.get(m, 0j) + c
+        if new == 0:
+            out.pop(m, None)
+        else:
+            out[m] = new
+    return out
+
+
+def dict_scale(a, factor):
+    scaled = ((m, complex(c * factor)) for m, c in a.items())
+    return {m: c for m, c in scaled if c != 0}
+
+
+def dict_serialize(cutoff, items):
+    """The serialization of (monomial, coefficient) pairs in the order given."""
+    def exponents(indices):
+        counts = Counter(indices)
+        return ",".join(f"{s}^{e}" for s, e in sorted(counts.items())) or "-"
+
+    lines = [f"# cutoff: {cutoff}"]
+    for m, c in items:
+        lines.append(f"xi:{exponents(m.xi)} eta:{exponents(m.eta)} "
+                     f"re:{c.real!r} im:{c.imag!r}")
+    return "\n".join(lines) + "\n"
+
+
+def dict_bits(terms):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in terms.items()]
+
+
+# few indices and parts of any length 0-4, so that parts are often empty
+# and often prefixes of one another, as (1,) of (1, 2)
+PARTS = st.lists(st.sampled_from([-3, -1, 0, 1, 2]), max_size=4).map(lambda p: tuple(sorted(p)))
+MONOMIALS = st.builds(Monomial, PARTS, PARTS)
+TERMS = st.dictionaries(MONOMIALS, COEFFS | st.just(0j), max_size=12)
+
+
+class TestStorage:
+    """Index rows and coefficient arrays against a dict of Monomials: the
+    same terms in the same order, and every coefficient the same bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(TERMS)
+    def test_iteration_and_lookup(self, terms):
+        poly = PolyHamiltonian(3, terms)
+        expected = dict_poly(terms)
+        assert bitwise(poly) == dict_bits(expected)
+        assert len(poly) == len(expected)
+        for m, c in expected.items():
+            got = poly.coeff(m)
+            assert (got.real.hex(), got.imag.hex()) == (c.real.hex(), c.imag.hex())
+        assert poly.coeff(mono([2, 2, 2, 2, 2], [])) == 0j
+        assert poly.degree == max((m.degree for m in expected), default=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TERMS)
+    def test_serialize_order_and_round_trip(self, terms):
+        poly = PolyHamiltonian(3, terms)
+        text = poly.serialize()
+        assert text == dict_serialize(3, sorted(poly))
+        assert text == dict_serialize(
+            3, sorted(dict_poly(terms).items(), key=lambda kv: kv[0]))
+        back = PolyHamiltonian.deserialize(text)
+        assert back.cutoff == 3
+        assert sorted(bitwise(back)) == sorted(bitwise(poly))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_add_and_scale(self, data):
+        a = data.draw(TERMS)
+        # b shares some of a's keys, cancels some, and brings its own
+        shared = data.draw(st.lists(st.sampled_from(list(a)), unique=True)) if a else []
+        b = {m: data.draw(st.sampled_from([-a[m], complex(-0.0, -0.0)]) | COEFFS)
+             for m in shared}
+        b.update(data.draw(TERMS))
+        pa, pb = PolyHamiltonian(3, a), PolyHamiltonian(3, b)
+        assert bitwise(pa + pb) == dict_bits(dict_add(dict_poly(a), dict_poly(b)))
+        assert bitwise(pb + pa) == dict_bits(dict_add(dict_poly(b), dict_poly(a)))
+        for factor in (0.5, -1.0, 1e-300, 0.0, 2.5 - 1j, 1j, -0.0):
+            assert bitwise(pa.scale(factor)) == dict_bits(
+                dict_scale(dict_poly(a), factor))
+
+    @settings(max_examples=200, deadline=None)
+    @given(TERMS)
+    def test_h2_rule_and_its_inverse(self, terms):
+        # the divisor as the monomial loop summed it, and Python's rounding
+        # of 1j * d * c and of 1j * c / d
+        fs = FrequencySystem(1.3)
+        divisor = {m: float(sum(fs.lam(s) for s in m.xi) - sum(fs.lam(s) for s in m.eta))
+                   for m in terms}
+        terms = {m: c for m, c in dict_poly(terms).items() if divisor[m] != 0}
+        poly = PolyHamiltonian(3, terms)
+        assert poly.divisors(fs).tolist() == [divisor[m] for m in terms]
+        assert bitwise(bracket_with_h2(poly, fs)) == dict_bits(
+            dict_poly({m: 1j * divisor[m] * c for m, c in terms.items()}))
+        assert bitwise(solve_h2_bracket(poly, poly.divisors(fs))) == dict_bits(
+            dict_poly({m: 1j * c / divisor[m] for m, c in terms.items()}))
 
 
 class TestBracketMatchesLoop:
@@ -453,51 +552,6 @@ class TestLieTransform:
 
 
 class TestNormsAndConvolution:
-    def test_delta_convolution(self):
-        v = {0: 1.0 + 0j}
-        assert convolution(v, v) == {0: 1.0 + 0j}
-
-    def test_single_pair(self):
-        out = convolution({1: 2.0 + 0j}, {2: 3.0 + 0j})
-        assert out == {3: 6.0 + 0j}
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.dictionaries(st.integers(-6, 6),
-                           st.complex_numbers(max_magnitude=5, allow_nan=False,
-                                              allow_infinity=False),
-                           min_size=1, max_size=5),
-           st.dictionaries(st.integers(-6, 6),
-                           st.complex_numbers(max_magnitude=5, allow_nan=False,
-                                              allow_infinity=False),
-                           min_size=1, max_size=5))
-    def test_commutative(self, v, w):
-        assert convolution(v, w) == convolution(w, v)
-
-    def test_associative(self):
-        rng = np.random.default_rng(5)
-        def rand_seq():
-            return {int(s): complex(rng.standard_normal(), rng.standard_normal())
-                    for s in rng.choice(np.arange(-5, 6), size=4, replace=False)}
-        for _ in range(20):
-            v, w, u = rand_seq(), rand_seq(), rand_seq()
-            left = convolution(convolution(v, w), u)
-            right = convolution(v, convolution(w, u))
-            keys = set(left) | set(right)
-            assert all(abs(left.get(k, 0) - right.get(k, 0)) < 1e-12 for k in keys)
-
-    def test_algebra_inequality(self):
-        rng = np.random.default_rng(9)
-        alpha = 1.0
-        C = convolution_algebra_constant(alpha)
-        for _ in range(20):
-            v = {int(s): complex(rng.standard_normal(), rng.standard_normal())
-                 for s in range(-64, 65)}
-            w = {int(s): complex(rng.standard_normal(), rng.standard_normal())
-                 for s in range(-64, 65)}
-            lhs = sequence_norm(convolution(v, w), alpha)
-            rhs = C * sequence_norm(v, alpha) * sequence_norm(w, alpha)
-            assert lhs <= rhs
-
     def test_norm_params_validation(self):
         with pytest.raises(ValueError):
             NormParams(alpha=0.5)
@@ -540,6 +594,24 @@ class TestGradientHessian:
                 arr[idx] = orig
                 fd = (fp - fm) / (2 * h)
                 assert abs(fd - garr[idx]) <= 1e-7 * max(abs(garr[idx]), 1.0)
+
+    def test_evaluate_matches_monomial_loop(self):
+        # products and the sum over terms run in another order than the
+        # loop, so the values agree to rounding of the sum of |terms|
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            f = random_poly(4, int(rng.integers(1, 6)), rng, n_terms=12)
+            z = PhasePoint.random(4, rng, real=False)
+            expected, size = 0j, 0.0
+            for m, c in f:
+                prod = c
+                for s in m.xi:
+                    prod *= z.xi_of(s)
+                for s in m.eta:
+                    prod *= z.eta_of(s)
+                expected += prod
+                size += abs(prod)
+            assert abs(f.evaluate(z) - expected) <= 1e-14 * size
 
     def test_hessian_block_symmetry(self):
         fs = FrequencySystem(1.5)
