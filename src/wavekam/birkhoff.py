@@ -112,6 +112,8 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
     homological equation makes it equal to; it is quadratic in the term count.
     """
     modes = _tangential(A)
+    if any(abs(a) > p4.cutoff for a in modes):
+        raise ValueError(f"P4's cutoff {p4.cutoff} does not cover the tangential set")
     total = p4.total
     n_xi, _ = total.part_degrees()
     t = tangential_counts(total, modes)
@@ -270,7 +272,9 @@ class RescaledNormalForm:
 
     Omega_k(rho) = omega_k + nu (M rho)_k and
     Lambda_a(rho) = lambda_a + nu (3/pi) (1/lambda_a) sum_l rho_l / lambda_l;
-    both affine in rho.
+    both affine in rho.  rho is a point or a (P, n) stack of points, and each
+    row of a stacked result is bitwise the single-point result; lambda_of's
+    axes are rho's points, then s's.
     """
 
     A: AdmissibleSet
@@ -284,14 +288,14 @@ class RescaledNormalForm:
 
     def omega_of(self, rho: Optional[np.ndarray] = None) -> np.ndarray:
         rho = self.rho if rho is None else np.asarray(rho, dtype=float)
-        return self.fs.omega_vector(self.A) + self.nu * (self.M @ rho)
+        return self.fs.omega_vector(self.A) + self.nu * (self.M @ rho[..., None])[..., 0]
 
     def lambda_of(self, s, rho: Optional[np.ndarray] = None):
         rho = self.rho if rho is None else np.asarray(rho, dtype=float)
         lam_t = self.fs.omega_vector(self.A)
-        shift = (3.0 / math.pi) * float(np.sum(rho / lam_t))
+        shift = (3.0 / math.pi) * np.sum(rho / lam_t, axis=-1)
         lam_s = self.fs.lam(s)
-        return lam_s + self.nu * shift / lam_s
+        return lam_s + np.divide.outer(self.nu * shift, lam_s)
 
 
 def _jet_from_polynomial(poly: Optional[PolyHamiltonian], modes: frozenset[int],

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -196,6 +197,8 @@ def cmd_birkhoff(args: argparse.Namespace) -> int:
     try:
         A = AdmissibleSet(args.modes)
         fs = FrequencySystem(args.mass)
+        if args.cutoff < A.n_bound:
+            raise ValueError(f"--cutoff must cover the tangential set, got {args.cutoff}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -238,6 +241,8 @@ def cmd_kamcheck(args: argparse.Namespace) -> int:
             raise ValueError("tangential dimension > 4 requires --force")
         if args.nu <= 0:
             raise ValueError(f"--nu must be positive, got {args.nu!r}")
+        if args.kmax < 1:
+            raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
         if args.rho_grid is not None and args.rho_grid < 1:
             raise ValueError(f"--rho-grid must be >= 1, got {args.rho_grid}")
         if not A.normal_modes(args.smax):
@@ -498,6 +503,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"{sub.prog}: error: the following arguments are required: "
               f"{', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
+    # argparse's float() and a JSON document both let NaN and infinities in
+    for name, value in sorted(vars(args).items()):
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            print(f"error: --{name.replace('_', '-')} must be finite, got {value!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args)
 
 

@@ -13,12 +13,13 @@ The hypotheses quantify over a ball of nearby frequency maps |Omega' - Omega|
 < delta_0; that ball is handled soundly by shrinking thresholds, i.e. checking
 at Omega with the margin delta_0 |k|_1 added to the requirement.
 
-A2 and A3 are scanned one rho point at a time on the sorted dots
-k . Omega(rho), so most (k, rho) cells are settled without a table pass of
-their own: the A3 screen is exact, the A2 screen conservative with a
-rounding slack (SCREEN_SLACK), and only the cells it flags run the exact
-per-cell test.  Reports, counts and violation order are those of the plain
-per-(k, rho) scan.
+The three scans read one per-rho table, built a block of rho rows at a time
+by _rho_rows: Lambda on the |a| classes of DivisorRange and the dots
+k . Omega(rho).  A2 and A3 settle each rho point on its sorted dots, so most
+(k, rho) cells need no table pass of their own: the A3 screen is exact, the
+A2 screen conservative with a rounding slack (SCREEN_SLACK), and only the
+cells it flags run the exact per-cell test.  Reports, counts and violation
+order are those of the plain per-(k, rho) scans.
 """
 
 from __future__ import annotations
@@ -95,51 +96,53 @@ def rho_grid(n: int, points_per_dim: Optional[int] = None, force: bool = False) 
     return np.array(list(itertools.product(*axes)))
 
 
+def _rho_rows(rnf: RescaledNormalForm, grid: np.ndarray, rng: DivisorRange,
+              kmat: np.ndarray, width: int):
+    """Blocks of grid rows, each with Lambda on rng's |a| classes and the dots
+    k . Omega(rho) over the rows k of kmat, every value bitwise that of the
+    single-point call; a block is at most CELL_BLOCK // width rows.  numpy
+    sends a product with one row or column to gemv, which rounds unlike
+    np.dot, and gemm rounds as np.dot does: both factors get a spare row."""
+    step = max(1, CELL_BLOCK // max(1, width))
+    kpad = np.vstack([kmat, kmat[:1]]).T
+    for start in range(0, len(grid), step):
+        rho = grid[start:start + step]
+        omega = rnf.omega_of(np.vstack([rho, rho[:1]]))
+        yield rho, rnf.lambda_of(rng.uabs, rho), (omega @ kpad)[:-1, :len(kmat)]
+
+
 def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = None,
              force: bool = False) -> HypothesisReport:
     """Separation: Lambda_a(rho) >= <a> and |Lambda_a - Lambda_b| >=
     (1/8)||a|-|b|| over normal modes |a|,|b| <= S and a rho grid."""
     grid = rho_grid(rnf.A.n, points_per_dim, force)
-    normals = np.array(rnf.A.normal_modes(S))
+    rng = DivisorRange(rnf.A, 0, S)
+    normals, uabs = rng.normals, rng.uabs
     brackets = np.maximum(np.abs(normals), 1)
+    iu, ju = np.triu_indices(len(uabs), 1)          # the pairs |a| < |b|
+    gaps = (uabs[ju] - uabs[iu]) / 8.0
     violations: list[Violation] = []
-    checked = 0
-    # Lambda depends on |a| only; deduplicate for the pair check
-    uniq = np.unique(np.abs(normals))
-    for rho in grid:
-        lam = np.asarray(rnf.lambda_of(normals, rho))
-        checked += len(normals)
-        bad = lam < brackets
-        for idx in np.nonzero(bad)[0]:
-            violations.append(Violation(
-                "A1", "lower", (), int(normals[idx]), None,
-                tuple(float(r) for r in rho),
-                float(lam[idx]), float(brackets[idx])))
-        lam_u = np.asarray(rnf.lambda_of(uniq, rho))
-        diff = np.abs(lam_u[:, None] - lam_u[None, :])
-        gap = np.abs(uniq[:, None] - uniq[None, :])
-        mask = gap > 0
-        checked += int(mask.sum()) // 2
-        bad_pairs = mask & (diff < gap / 8.0)
-        for i, j in zip(*np.nonzero(bad_pairs)):
-            if i < j:
+    for rho, lam_u, _ in _rho_rows(rnf, grid, rng, rng.kmat, len(normals) + len(iu)):
+        lower = lam_u[:, rng.inv] < brackets
+        diff = np.abs(lam_u[:, iu] - lam_u[:, ju])
+        close = diff < gaps
+        for p in np.nonzero(lower.any(axis=1) | close.any(axis=1))[0]:
+            rho_t = tuple(float(r) for r in rho[p])
+            for idx in np.nonzero(lower[p])[0]:
                 violations.append(Violation(
-                    "A1", "separation", (), int(uniq[i]), int(uniq[j]),
-                    tuple(float(r) for r in rho),
-                    float(diff[i, j]), float(gap[i, j] / 8.0)))
+                    "A1", "lower", (), int(normals[idx]), None, rho_t,
+                    float(lam_u[p, rng.inv[idx]]), float(brackets[idx])))
+            for e in np.nonzero(close[p])[0]:
+                violations.append(Violation(
+                    "A1", "separation", (), int(uabs[iu[e]]), int(uabs[ju[e]]),
+                    rho_t, float(diff[p, e]), float(gaps[e])))
     return HypothesisReport(
         hypothesis="A1",
         parameters={"S": S, "nu": rnf.nu, "c0": 1.0, "c1": 1.0 / 8.0,
                     "rho_points": len(grid)},
-        checked_count=checked,
+        checked_count=len(grid) * (len(normals) + len(iu)),
         violations=violations,
     )
-
-
-def _dots(kvecs: list[np.ndarray], omega: np.ndarray) -> np.ndarray:
-    """k . Omega for every k, each through the np.dot call of a single cell,
-    so that every value is bitwise the one the exact per-cell code uses."""
-    return np.array([float(np.dot(k, omega)) for k in kvecs])
 
 
 def _near(ds: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -191,20 +194,21 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     resonant patterns carry exact O(nu) shift formulas and are only required
     to stay away from zero.
 
-    The (k, rho) cells are settled one rho point at a time.  A screen over
-    the sorted dots k . Omega(rho) flags every k that comes within the
-    largest D1-D3 threshold (nu^(2/3) w + the largest margin), plus a slack,
-    of some -Lambda_a (-Lambda_a -/+ Lambda_b) on the |a|-deduplicated
-    tables; D0 is tested exactly.  The screen is conservative: the thresholds
-    are the largest over k and the slack (SCREEN_SLACK relative to the
-    summands' size, against rounding of a few 1e-16 relative) covers the
-    different rounding of a sum taken in another order.  An unflagged cell
-    has no value failure at all and only adds to the "value" branch; each
-    flagged cell runs the exact per-cell test, and its violations are
-    reported in (k, then rho) order.
+    The (k, rho) cells are settled one rho point at a time.  A screen over the
+    sorted dots k . Omega(rho) flags every k that comes within the largest
+    D1-D3 threshold (nu^(2/3) w + the largest margin), plus a slack, of some
+    -Lambda_a (-Lambda_a -/+ Lambda_b) on the |a| classes; D0 is tested
+    exactly.  The screen is conservative: the thresholds are the largest over
+    k and the slack (SCREEN_SLACK relative to the summands' size, against
+    rounding of a few 1e-16 relative) covers the different rounding of a sum
+    taken in another order.  An unflagged cell has no value failure at all and
+    only adds to the "value" branch; each flagged cell runs the exact per-cell
+    test, and its violations are reported in (k, then rho) order.
     """
     if gamma_exponent <= 0:
         raise ValueError("gamma_exponent must be positive")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     nu = rnf.nu
     A = rnf.A
     n = A.n
@@ -213,35 +217,30 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     grid = rho_grid(n, points_per_dim, force)
     rng = DivisorRange(A, N, S)
     normals = rng.normals
-    abs_n = np.abs(normals)
-    lam_base = np.asarray(rnf.fs.lam(normals), dtype=float)
+    lam_base = rnf.fs.lam(rng.uabs)
     deriv_row = (3.0 / math.pi) * float(
         np.linalg.norm(1.0 / rnf.fs.omega_vector(A), 2))
     branch_counts = {"value": 0, "derivative": 0, "resonant-pattern": 0}
-    kvecs = [np.array(k, dtype=float) for k in rng.ks]
-    k_l1 = [float(np.abs(kvec).sum()) for kvec in kvecs]
-    margins = np.array([delta0 * l1 for l1 in k_l1])
+    k_l1 = np.abs(rng.kmat).sum(axis=1)
+    margins = delta0 * k_l1
     required0 = nu ** 0.5 + margins                  # D0's threshold per k
-    mks = np.array([float(np.linalg.norm(rnf.M @ kvec, 2)) for kvec in kvecs])
+    mks = np.array([float(np.linalg.norm(rnf.M @ kvec, 2)) for kvec in rng.kmat])
     worst_allowance = 2.0 * deriv_row / float(np.min(lam_base))
     # for large k the pure derivative certificate skips the whole rho sweep
-    active = np.array([i for i in range(len(kvecs))
-                       if k_l1[i] <= small_cap or not mks[i] - worst_allowance >= 1.0],
-                      dtype=int)
-    branch_counts["derivative"] += len(grid) * (len(kvecs) - len(active))
-    checked = len(kvecs) * len(grid) * (1 + len(normals) * (1 + 2 * len(normals)))
+    active = np.flatnonzero((k_l1 <= small_cap) | ~(mks - worst_allowance >= 1.0))
+    branch_counts["derivative"] += len(grid) * (len(rng.ks) - len(active))
+    checked = len(rng.ks) * len(grid) * (1 + len(normals) * (1 + 2 * len(normals)))
 
     # Lambda, the weights, the allowances and the resonant patterns depend on
-    # |a| and |b| only: every table below has one row (column) per |a|, and
-    # mult counts the (a, b) of the full tables that each entry stands for
-    first, inv, mult = np.unique(abs_n, return_index=True, return_inverse=True,
-                                 return_counts=True)[1:]
+    # |a| and |b| only: every table below has one row (column) per |a| class,
+    # and mult counts the (a, b) of the full tables that each entry stands for
+    first, inv, mult, uabs = rng.first, rng.inv, rng.mult, rng.uabs
     sub = np.ix_(first, first)
-    uabs, distinct = abs_n[first], rng.distinct[sub]
+    distinct = rng.distinct[sub]
     rows_cols = {"D1": (first, slice(None)), "D2": sub, "D3": sub}
     nu23w = {f: (nu ** (2.0 / 3.0) * rng.weights[f])[rows_cols[f]] for f in rows_cols}
     # Lambda-derivative allowance per (a, b), summed as the scalar path does
-    allow1 = deriv_row / lam_base[first]
+    allow1 = deriv_row / lam_base
     allowance = {"D1": allow1[:, None], "D2": allow1[:, None] + allow1[None, :]}
     allowance["D3"] = allowance["D2"]
     weight = {"D1": mult[:, None], "D2": mult[:, None] * mult[None, :]}
@@ -315,22 +314,21 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     ou, ov = np.nonzero(distinct)                   # D3 only has |a| != |b|
     screen_t = np.concatenate([nu23w["D1"][:, 0], nu23w["D2"][iu, ju],
                                nu23w["D3"][ou, ov]]) + margins[active].max(initial=0.0)
-    active_kvecs = [kvecs[i] for i in active]
     block = max(1, CELL_BLOCK // max(1, len(first) ** 2))
-    for rho in (grid if len(active) else ()):
-        dots = _dots(active_kvecs, rnf.omega_of(rho))
-        lam_u = np.asarray(rnf.lambda_of(normals, rho))[first]
-        x = np.concatenate([lam_u, lam_u[iu] + lam_u[ju], lam_u[ou] - lam_u[ov]])
-        order = np.argsort(dots)
-        flagged = np.empty(len(dots), dtype=bool)
-        flagged[order] = _near(dots[order], x, screen_t)
-        flagged |= np.abs(dots) < required0[active]
-        flagged = np.nonzero(flagged)[0]
-        branch_counts["value"] += len(dots) - len(flagged)
-        rho_t = tuple(float(r) for r in rho)
-        for start in range(0, len(flagged), block):
-            j = flagged[start:start + block]
-            settle(active[j], dots[j], rho_t, lam_u)
+    blocks = _rho_rows(rnf, grid, rng, rng.kmat[active], len(active) + len(first))
+    for rho_b, lam_b, dots_b in (blocks if len(active) else ()):
+        for rho, lam_u, dots in zip(rho_b, lam_b, dots_b):
+            x = np.concatenate([lam_u, lam_u[iu] + lam_u[ju], lam_u[ou] - lam_u[ov]])
+            order = np.argsort(dots)
+            flagged = np.empty(len(dots), dtype=bool)
+            flagged[order] = _near(dots[order], x, screen_t)
+            flagged |= np.abs(dots) < required0[active]
+            flagged = np.nonzero(flagged)[0]
+            branch_counts["value"] += len(dots) - len(flagged)
+            rho_t = tuple(float(r) for r in rho)
+            for start in range(0, len(flagged), block):
+                j = flagged[start:start + block]
+                settle(active[j], dots[j], rho_t, lam_u)
     violations = [v for i in active for v in found[i]]
     return HypothesisReport(
         hypothesis="A2",
@@ -368,14 +366,14 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
     nu = rnf.nu
     if not (0.0 < kappa < nu):
         raise ValueError("need 0 < kappa < delta = nu")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     grid = rho_grid(rnf.A.n, points_per_dim, force)
     rng = DivisorRange(rnf.A, N, S)
     normals, pair_mask = rng.normals, rng.distinct
     weights = kappa * rng.weights["D3"]
-    kvecs = [np.array(k, dtype=float) for k in rng.ks]
-    # Lambda and the weights depend on |a| only: one row (column) per |a|
-    first = np.unique(np.abs(normals), return_index=True)[1]
-    sub = np.ix_(first, first)
+    # the pairs |a| != |b| of the |a| classes
+    sub = np.ix_(rng.first, rng.first)
     ou, ov = np.nonzero(pair_mask[sub])
     pair_weights = weights[sub][ou, ov]
     per_k = int(pair_mask.sum())
@@ -383,37 +381,31 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
     accepted_mask: list[bool] = []
     checked = 0
     violations: list[Violation] = []
-    for rho in grid:
-        lam = np.asarray(rnf.lambda_of(normals, rho))
-        omega = rnf.omega_of(rho)
-        dots = _dots(kvecs, omega)
-        lam_u = lam[first]
-        diff = lam_u[ou] - lam_u[ov]
-        if not kvecs or not np.any(_min_abs_sum(np.sort(dots), diff) < pair_weights):
-            accepted_mask.append(True)
-            checked += len(kvecs) * per_k
-            continue
-        # the first k in scan order with a failing pair, a block of k at a time
-        for start in range(0, len(kvecs), block):
-            bad_k = np.any(np.abs(dots[start:start + block, None] + diff) < pair_weights,
-                           axis=1)
-            if bad_k.any():
-                first_bad = start + int(np.argmax(bad_k))
-                break
-        checked += (first_bad + 1) * per_k
-        kvec = kvecs[first_bad]
-        bad = pair_mask & (np.abs(dots[first_bad] + (lam[:, None] - lam[None, :])) < weights)
-        i, j = next(zip(*np.nonzero(bad)))
-        a, b = int(normals[i]), int(normals[j])
-        # record through the standalone scalar path so the value is
-        # bitwise reproducible from the frequency evaluators
-        value = float(np.dot(kvec, omega) + rnf.lambda_of(a, rho)
-                      - rnf.lambda_of(b, rho))
-        violations.append(Violation(
-            "A3", "melnikov", tuple(int(x) for x in kvec), a, b,
-            tuple(float(r) for r in rho), value,
-            float(weights[i, j])))
-        accepted_mask.append(False)
+    for rho_b, lam_b, dots_b in _rho_rows(rnf, grid, rng, rng.kmat, len(rng.ks) + len(ou)):
+        for rho, lam_u, dots in zip(rho_b, lam_b, dots_b):
+            diff = lam_u[ou] - lam_u[ov]
+            if not np.any(_min_abs_sum(np.sort(dots), diff) < pair_weights):
+                accepted_mask.append(True)
+                checked += len(dots) * per_k
+                continue
+            # the first k in scan order with a failing pair, a block of k at a time
+            for start in range(0, len(dots), block):
+                bad_k = np.any(np.abs(dots[start:start + block, None] + diff) < pair_weights,
+                               axis=1)
+                if bad_k.any():
+                    first_bad = start + int(np.argmax(bad_k))
+                    break
+            checked += (first_bad + 1) * per_k
+            d, lam = dots[first_bad], lam_u[rng.inv]
+            bad = pair_mask & (np.abs(d + (lam[:, None] - lam[None, :])) < weights)
+            i, j = next(zip(*np.nonzero(bad)))
+            # summed as np.dot(k, omega_of(rho)) + lambda_of(a, rho) -
+            # lambda_of(b, rho), so the value is bitwise that of the evaluators
+            violations.append(Violation(
+                "A3", "melnikov", rng.ks[first_bad], int(normals[i]), int(normals[j]),
+                tuple(float(r) for r in rho), float(d + lam[i] - lam[j]),
+                float(weights[i, j])))
+            accepted_mask.append(False)
     gamma_exponent = 0.1
     n = rnf.A.n
     bound_shape = N ** (n + 1.5 + 2.0 / (3.0 * gamma_exponent)) * math.sqrt(

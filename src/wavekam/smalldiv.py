@@ -206,11 +206,17 @@ class DivisorRange:
     per (A, N, S): k over 0 < |k|_1 <= N, plus k = 0 with |a| != |b| for D3;
     a and b over the normal modes |s| <= S, indexing the tables by position
     in `normals`.  weights[kind] holds divisor_weight over the kind's 2-D
-    table: (1, 1) for D0, (|normals|, 1) for D1, square for D2 and D3."""
+    table: (1, 1) for D0, (|normals|, 1) for D1, square for D2 and D3.
+    kmat holds the k as the rows of a float array.
+
+    Frequencies and weights depend on |a| only.  The |a| classes are `uabs`
+    (sorted), with `first` the position in `normals` of each class's first
+    member, `inv` the class of each normal and `mult` each class's size."""
 
     def __init__(self, A: AdmissibleSet, N: int, S: int):
         self.zero = (0,) * A.n
         self.ks = list(_k_vectors(A.n, N))
+        self.kmat = np.array(self.ks, dtype=float).reshape(len(self.ks), A.n)
         self.normals = np.array(A.normal_modes(S), dtype=int)
         abs_n = np.abs(self.normals)
         w1 = np.maximum(abs_n, 1).astype(float)
@@ -218,6 +224,8 @@ class DivisorRange:
                         "D2": w1[:, None] + w1[None, :],
                         "D3": 1.0 + np.abs(abs_n[:, None] - abs_n[None, :])}
         self.distinct = abs_n[:, None] != abs_n[None, :]
+        self.uabs, self.first, self.inv, self.mult = np.unique(
+            abs_n, return_index=True, return_inverse=True, return_counts=True)
         self.patterns = resonant_patterns(A)
 
     def ks_of(self, kind: str) -> list[tuple[int, ...]]:

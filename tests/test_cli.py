@@ -87,6 +87,16 @@ class TestBirkhoff:
                     "--cutoff", "8", "--gamma-threshold", "0.5"])
         assert code == 4
 
+    @pytest.mark.parametrize("cutoff", ["2", "-1"])
+    def test_cutoff_below_tangential_set_is_usage_error(self, tmp_path, capsys, cutoff):
+        # a cutoff under |a| = 5 would drop the tangential mode from P4, and
+        # a negative one has no modes at all
+        out = tmp_path / "out"
+        assert run(["birkhoff", "--modes", "5", "--mass", "1.3", "--cutoff", cutoff,
+                    "--output-dir", str(out)]) == 2
+        assert "--cutoff must cover the tangential set" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKamcheck:
     def test_defaults_small_grid(self, capsys):
@@ -122,6 +132,15 @@ class TestKamcheck:
         assert run(["kamcheck", "--modes", "0", "--smax", "0", "--rho-grid", "2",
                     "--hypothesis", hypothesis, "--output-dir", str(out)]) == 2
         assert "no normal mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_kmax_below_one_is_usage_error(self, tmp_path, capsys, kmax):
+        # no k leaves A2 and A3 nothing to check, which is not a verification
+        out = tmp_path / kmax
+        assert run(["kamcheck", "--modes", "1", "--kmax", kmax, "--rho-grid", "3",
+                    "--output-dir", str(out)]) == 2
+        assert "--kmax must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reports_written(self, tmp_path):
@@ -245,6 +264,33 @@ def test_rerun_from_manifest_bit_identical(argv, tmp_path, capsys):
     assert "manifest.json" in names and len(names) > 1
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, key", [
+    (["divisors", "--modes", "1", "--mass", "1.5"], "kappa"),
+    (["kamcheck", "--modes", "1", "--hypothesis", "a1", "--rho-grid", "2"], "nu"),
+    (["kamcheck", "--modes", "1", "--hypothesis", "a1", "--rho-grid", "2"], "kappa_sweep"),
+    (["birkhoff", "--modes", "1", "--mass", "1.3", "--cutoff", "4"], "gamma_threshold"),
+    (["simulate", "--modes", "1", "--tmax", "1", "--cutoff", "8"], "nu"),
+    (["simulate", "--modes", "1", "--tmax", "1", "--cutoff", "8"], "dt"),
+], ids=lambda p: p[0] if isinstance(p, list) else p)
+def test_non_finite_float_is_usage_error(argv, key, value, source, tmp_path, capsys):
+    # float() takes "nan" and "inf", and a JSON document can hold NaN and
+    # Infinity; either would pass a comparison-based check or none at all
+    number = [1e-7, float(value)] if key == "kappa_sweep" else float(value)
+    if source == "argv":
+        text = ",".join(map(repr, number)) if key == "kappa_sweep" else value
+        extra = [f"--{key.replace('_', '-')}={text}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: number}))
+        extra = ["--config", str(config)]
+    out = tmp_path / "out"
+    assert run(argv + extra + ["--output-dir", str(out)]) == 2
+    assert f"--{key.replace('_', '-')} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

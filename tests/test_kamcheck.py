@@ -60,6 +60,21 @@ class TestA1:
         text = report.serialize()
         assert "hyp=A1" in text and "required=" in text
 
+    @pytest.mark.parametrize("modes, nu, S, points, verified", [
+        ((1,), 10.0, 30, 5, False),
+        ((1,), 1e-4, 40, 7, True),
+        ((0, 2), 3.0, 12, 4, None),
+        ((0, 1, 5), 1e-2, 20, 3, None),
+    ])
+    def test_matches_loop(self, modes, nu, S, points, verified):
+        rnf = cached_rnf(modes, 1.2337 if len(modes) == 3 else 1.31, nu)
+        report = check_a1(rnf, S, points_per_dim=points)
+        reference = reference_a1(rnf, S, points_per_dim=points)
+        if verified is not None:
+            assert report.verified == verified
+        assert report.serialize() == reference.serialize()
+        assert_same_report(report, reference)
+
 
 class TestA2:
     def test_defaults_no_violations(self, rnf_default):
@@ -103,6 +118,10 @@ class TestA2:
         with pytest.raises(ValueError):
             check_transversality(rnf_default, N=5, S=10, gamma_exponent=-1.0)
 
+    def test_needs_a_k(self, rnf_default):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            check_transversality(rnf_default, N=0, S=10)
+
 
 class TestA3:
     def test_defaults_accept_everything(self, rnf_default):
@@ -127,6 +146,10 @@ class TestA3:
     def test_kappa_bounds_validated(self, rnf_default):
         with pytest.raises(ValueError):
             melnikov_scan(rnf_default, kappa=1.0, N=5, S=10)  # kappa >= nu
+
+    def test_needs_a_k(self, rnf_default):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            melnikov_scan(rnf_default, kappa=1e-6, N=0, S=10)
 
     def test_violation_reproducible_via_evaluators(self):
         # crank kappa to the allowed maximum to force violations, then
@@ -160,11 +183,74 @@ class TestRhoGrid:
         assert rho_grid(3).shape == (27000, 3)
 
 
+class TestStackedMaps:
+    @pytest.mark.parametrize("modes", [(1,), (0, 2), (0, 1, 5), (1, 2, 4, 7)])
+    def test_rows_equal_single_points(self, modes):
+        # the scans evaluate Omega and Lambda on stacks of rho rows; each row
+        # must be bitwise the single-point value
+        rnf = cached_rnf(modes, 1.41, 1e-2)
+        n = len(modes)
+        rng = np.random.default_rng(n)
+        rho = np.concatenate([rho_grid(n, 3), 1.0 + rng.random((40, n))])
+        s = np.array([0, -3, 3, 8, -17, 40])
+        omega, lam, lam0 = (rnf.omega_of(rho), rnf.lambda_of(s, rho),
+                            rnf.lambda_of(-3, rho))
+        assert omega.shape == rho.shape
+        assert lam.shape == (len(rho), len(s)) and lam0.shape == (len(rho),)
+        for p, point in enumerate(rho):
+            assert omega[p].tobytes() == rnf.omega_of(point).tobytes()
+            assert lam[p].tobytes() == np.asarray(rnf.lambda_of(s, point)).tobytes()
+            assert lam0[p] == rnf.lambda_of(-3, point)
+
+    @pytest.mark.parametrize("modes", [(1,), (0, 2), (0, 1, 5), (1, 2, 4, 7)])
+    @pytest.mark.parametrize("points, ks", [(1, 1), (1, 9), (2, 1), (3, 2), (4, 60)])
+    def test_block_dots_are_per_cell_dots(self, monkeypatch, modes, points, ks):
+        # blocks and k tables of a single row included: numpy would hand
+        # those products to gemv, which rounds unlike np.dot
+        monkeypatch.setattr(kamcheck, "CELL_BLOCK", 7)
+        rnf = cached_rnf(modes, 1.41, 1e-2)
+        rng = DivisorRange(rnf.A, 3, 6)
+        kmat = 1.0 + np.arange(ks * rnf.A.n).reshape(ks, rnf.A.n) % 7
+        grid = 1.0 + np.random.default_rng(points).random((points ** rnf.A.n, rnf.A.n))
+        blocks = list(kamcheck._rho_rows(rnf, grid, rng, kmat, 1))
+        dots = np.concatenate([d for _, _, d in blocks])
+        assert len(blocks) == -(-len(grid) // 7) and dots.shape == (len(grid), ks)
+        for rho, row in zip(grid, dots):
+            omega = rnf.omega_of(rho)
+            assert [float(np.dot(k, omega)) for k in kmat] == list(row)
+
+
 # ---------------------------------------------------------------------------
-# Reference scans: one table pass per (k, rho) cell.  check_transversality
-# and melnikov_scan settle most cells on sorted dots and must report exactly
-# what these loops report, counts and violation order included.
+# Reference scans: one table pass per (k, rho) cell.  check_a1,
+# check_transversality and melnikov_scan evaluate the frequency maps on
+# blocks of rho rows and settle most cells on sorted dots; they must report
+# exactly what these loops report, counts and violation order included.
 # ---------------------------------------------------------------------------
+
+def reference_a1(rnf, S, points_per_dim=None, force=False):
+    grid = rho_grid(rnf.A.n, points_per_dim, force)
+    normals = np.array(rnf.A.normal_modes(S))
+    brackets = np.maximum(np.abs(normals), 1)
+    violations = []
+    checked = 0
+    for rho in grid:
+        rho_t = tuple(float(r) for r in rho)
+        lam = [rnf.lambda_of(int(a), rho) for a in normals]
+        for a, value, bracket in zip(normals, lam, brackets):
+            checked += 1
+            if value < bracket:
+                violations.append(Violation("A1", "lower", (), int(a), None, rho_t,
+                                            float(value), float(bracket)))
+        seen = sorted({abs(int(a)) for a in normals})
+        for i, a in enumerate(seen):
+            for b in seen[i + 1:]:
+                checked += 1
+                diff = abs(rnf.lambda_of(a, rho) - rnf.lambda_of(b, rho))
+                if diff < (b - a) / 8.0:
+                    violations.append(Violation("A1", "separation", (), a, b, rho_t,
+                                                float(diff), (b - a) / 8.0))
+    return HypothesisReport("A1", {}, checked, violations)
+
 
 def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None,
                              force=False):
