@@ -112,8 +112,6 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
     homological equation makes it equal to; it is quadratic in the term count.
     """
     modes = _tangential(A)
-    if any(abs(a) > p4.cutoff for a in modes):
-        raise ValueError(f"P4's cutoff {p4.cutoff} does not cover the tangential set")
     total = p4.total
     n_xi, _ = total.part_degrees()
     t = tangential_counts(total, modes)

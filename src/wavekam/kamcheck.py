@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .birkhoff import RescaledNormalForm
-from .smalldiv import DivisorRange
+from .smalldiv import DivisorRange, abs_classes
 
 MAX_UNFORCED_DIM = 4
 # slack of the A2 screen, relative to the size of the summands of a divisor
@@ -96,19 +96,22 @@ def rho_grid(n: int, points_per_dim: Optional[int] = None, force: bool = False) 
     return np.array(list(itertools.product(*axes)))
 
 
-def _rho_rows(rnf: RescaledNormalForm, grid: np.ndarray, rng: DivisorRange,
+def _rho_rows(rnf: RescaledNormalForm, grid: np.ndarray, uabs: np.ndarray,
               kmat: np.ndarray, width: int):
-    """Blocks of grid rows, each with Lambda on rng's |a| classes and the dots
-    k . Omega(rho) over the rows k of kmat, every value bitwise that of the
-    single-point call; a block is at most CELL_BLOCK // width rows.  numpy
-    sends a product with one row or column to gemv, which rounds unlike
-    np.dot, and gemm rounds as np.dot does: both factors get a spare row."""
+    """Blocks of grid rows, each with Lambda on the |a| classes uabs and the
+    dots k . Omega(rho) over the rows k of kmat, every value bitwise that of
+    the single-point call; a block is at most CELL_BLOCK // width rows.
+    numpy sends a product with one row or column to gemv, which rounds unlike
+    np.dot, so both factors get a spare row.  That gemm then rounds as np.dot
+    does (a sequential FMA chain) depends on the BLAS build and its kernel for
+    the CPU; it was checked only with numpy's bundled OpenBLAS 0.3.31 on
+    x86-64, and TestStackedMaps fails where it does not hold."""
     step = max(1, CELL_BLOCK // max(1, width))
     kpad = np.vstack([kmat, kmat[:1]]).T
     for start in range(0, len(grid), step):
         rho = grid[start:start + step]
         omega = rnf.omega_of(np.vstack([rho, rho[:1]]))
-        yield rho, rnf.lambda_of(rng.uabs, rho), (omega @ kpad)[:-1, :len(kmat)]
+        yield rho, rnf.lambda_of(uabs, rho), (omega @ kpad)[:-1, :len(kmat)]
 
 
 def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = None,
@@ -116,14 +119,15 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
     """Separation: Lambda_a(rho) >= <a> and |Lambda_a - Lambda_b| >=
     (1/8)||a|-|b|| over normal modes |a|,|b| <= S and a rho grid."""
     grid = rho_grid(rnf.A.n, points_per_dim, force)
-    rng = DivisorRange(rnf.A, 0, S)
-    normals, uabs = rng.normals, rng.uabs
+    normals = np.array(rnf.A.normal_modes(S), dtype=int)
+    uabs, _, inv, _ = abs_classes(normals)
     brackets = np.maximum(np.abs(normals), 1)
     iu, ju = np.triu_indices(len(uabs), 1)          # the pairs |a| < |b|
     gaps = (uabs[ju] - uabs[iu]) / 8.0
     violations: list[Violation] = []
-    for rho, lam_u, _ in _rho_rows(rnf, grid, rng, rng.kmat, len(normals) + len(iu)):
-        lower = lam_u[:, rng.inv] < brackets
+    no_k = np.empty((0, rnf.A.n))                   # A1 reads no dots
+    for rho, lam_u, _ in _rho_rows(rnf, grid, uabs, no_k, len(normals) + len(iu)):
+        lower = lam_u[:, inv] < brackets
         diff = np.abs(lam_u[:, iu] - lam_u[:, ju])
         close = diff < gaps
         for p in np.nonzero(lower.any(axis=1) | close.any(axis=1))[0]:
@@ -131,7 +135,7 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
             for idx in np.nonzero(lower[p])[0]:
                 violations.append(Violation(
                     "A1", "lower", (), int(normals[idx]), None, rho_t,
-                    float(lam_u[p, rng.inv[idx]]), float(brackets[idx])))
+                    float(lam_u[p, inv[idx]]), float(brackets[idx])))
             for e in np.nonzero(close[p])[0]:
                 violations.append(Violation(
                     "A1", "separation", (), int(uabs[iu[e]]), int(uabs[ju[e]]),
@@ -315,7 +319,7 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     screen_t = np.concatenate([nu23w["D1"][:, 0], nu23w["D2"][iu, ju],
                                nu23w["D3"][ou, ov]]) + margins[active].max(initial=0.0)
     block = max(1, CELL_BLOCK // max(1, len(first) ** 2))
-    blocks = _rho_rows(rnf, grid, rng, rng.kmat[active], len(active) + len(first))
+    blocks = _rho_rows(rnf, grid, uabs, rng.kmat[active], len(active) + len(first))
     for rho_b, lam_b, dots_b in (blocks if len(active) else ()):
         for rho, lam_u, dots in zip(rho_b, lam_b, dots_b):
             x = np.concatenate([lam_u, lam_u[iu] + lam_u[ju], lam_u[ou] - lam_u[ov]])
@@ -381,7 +385,7 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
     accepted_mask: list[bool] = []
     checked = 0
     violations: list[Violation] = []
-    for rho_b, lam_b, dots_b in _rho_rows(rnf, grid, rng, rng.kmat, len(rng.ks) + len(ou)):
+    for rho_b, lam_b, dots_b in _rho_rows(rnf, grid, rng.uabs, rng.kmat, len(rng.ks) + len(ou)):
         for rho, lam_u, dots in zip(rho_b, lam_b, dots_b):
             diff = lam_u[ou] - lam_u[ov]
             if not np.any(_min_abs_sum(np.sort(dots), diff) < pair_weights):

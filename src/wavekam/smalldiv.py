@@ -201,6 +201,14 @@ def scan_metadata(A: AdmissibleSet, kappa: float, N: int, S: int) -> dict:
     }
 
 
+def abs_classes(normals: np.ndarray):
+    """The |a| classes of the modes `normals`: the sorted distinct |a|, the
+    position of each class's first member, each mode's class and each
+    class's size."""
+    return np.unique(np.abs(normals), return_index=True, return_inverse=True,
+                     return_counts=True)
+
+
 class DivisorRange:
     """The (k, a, b) range of a scan and its (a, b) weight tables, built once
     per (A, N, S): k over 0 < |k|_1 <= N, plus k = 0 with |a| != |b| for D3;
@@ -209,9 +217,8 @@ class DivisorRange:
     table: (1, 1) for D0, (|normals|, 1) for D1, square for D2 and D3.
     kmat holds the k as the rows of a float array.
 
-    Frequencies and weights depend on |a| only.  The |a| classes are `uabs`
-    (sorted), with `first` the position in `normals` of each class's first
-    member, `inv` the class of each normal and `mult` each class's size."""
+    Frequencies and weights depend on |a| only; `uabs`, `first`, `inv` and
+    `mult` are the |a| classes of `normals` (abs_classes)."""
 
     def __init__(self, A: AdmissibleSet, N: int, S: int):
         self.zero = (0,) * A.n
@@ -224,8 +231,7 @@ class DivisorRange:
                         "D2": w1[:, None] + w1[None, :],
                         "D3": 1.0 + np.abs(abs_n[:, None] - abs_n[None, :])}
         self.distinct = abs_n[:, None] != abs_n[None, :]
-        self.uabs, self.first, self.inv, self.mult = np.unique(
-            abs_n, return_index=True, return_inverse=True, return_counts=True)
+        self.uabs, self.first, self.inv, self.mult = abs_classes(self.normals)
         self.patterns = resonant_patterns(A)
 
     def ks_of(self, kind: str) -> list[tuple[int, ...]]:

@@ -97,11 +97,6 @@ class TestSolveHomological:
             solve_homological(p4, fs, A, gamma_threshold=threshold)
         assert abs(err.value.value) <= threshold
 
-    def test_cutoff_must_cover_tangential_set(self):
-        fs = FrequencySystem(1.3)
-        with pytest.raises(ValueError, match="tangential set"):
-            solve_homological(build_p4(4, fs), fs, AdmissibleSet([0, 5]))
-
     def test_lie_series_consistency(self, nf_015):
         nf, fs, A, p4 = nf_015
         h2 = build_h2(8, fs)

@@ -212,7 +212,7 @@ class TestStackedMaps:
         rng = DivisorRange(rnf.A, 3, 6)
         kmat = 1.0 + np.arange(ks * rnf.A.n).reshape(ks, rnf.A.n) % 7
         grid = 1.0 + np.random.default_rng(points).random((points ** rnf.A.n, rnf.A.n))
-        blocks = list(kamcheck._rho_rows(rnf, grid, rng, kmat, 1))
+        blocks = list(kamcheck._rho_rows(rnf, grid, rng.uabs, kmat, 1))
         dots = np.concatenate([d for _, _, d in blocks])
         assert len(blocks) == -(-len(grid) // 7) and dots.shape == (len(grid), ks)
         for rho, row in zip(grid, dots):
