@@ -29,18 +29,23 @@ def main() -> int:
     ap.add_argument("--dt", type=float, default=5e-4)
     args = ap.parse_args()
 
-    A = AdmissibleSet(int(x) for x in args.modes.split(","))
-    fs = FrequencySystem(args.mass)
+    try:
+        A = AdmissibleSet(int(x) for x in args.modes.split(","))
+        fs = FrequencySystem(args.mass)
+        nus = [float(x) for x in args.nus.split(",")]
+        # every run's configuration is checked before the first one starts
+        cfgs = [SimConfig(cutoff=args.cutoff, mass=args.mass, A=A,
+                          actions={a: nu for a in A.modes}, dt=args.dt,
+                          T=args.tmax, store_every=100) for nu in nus]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     M = frequency_matrix(fs, A)
     omega = fs.omega_vector(A)
-    nus = [float(x) for x in args.nus.split(",")]
 
     print("nu,mode,omega_linear,omega_predicted,omega_extracted,gap,tolerance")
     gaps = []
-    for nu in nus:
-        cfg = SimConfig(cutoff=args.cutoff, mass=args.mass, A=A,
-                        actions={a: nu for a in A.modes}, dt=args.dt,
-                        T=args.tmax, store_every=100)
+    for nu, cfg in zip(nus, cfgs):
         t0 = time.time()
         traj = integrate(cfg)
         extracted = extract_frequencies(traj, A)

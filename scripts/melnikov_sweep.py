@@ -24,17 +24,21 @@ def main() -> int:
     ap.add_argument("--rho-grid", type=int, default=200)
     args = ap.parse_args()
 
-    A = AdmissibleSet(int(x) for x in args.modes.split(","))
-    fs = FrequencySystem(args.mass)
-    nf = solve_homological(build_p4(max(A.n_bound + 2, 4), fs), fs, A)
-    rnf = rescale(nf, fs, A, args.nu, np.full(A.n, 1.5))
+    try:
+        A = AdmissibleSet(int(x) for x in args.modes.split(","))
+        fs = FrequencySystem(args.mass)
+        nf = solve_homological(build_p4(max(A.n_bound + 2, 4), fs), fs, A)
+        rnf = rescale(nf, fs, A, args.nu, np.full(A.n, 1.5))
 
-    print("kappa,kmax,accepted_fraction,checked")
-    for kappa in (float(x) for x in args.kappas.split(",")):
-        for kmax in (args.kmax, 2 * args.kmax):
-            rep = melnikov_scan(rnf, kappa, kmax, args.smax,
-                                points_per_dim=args.rho_grid)
-            print(f"{kappa!r},{kmax},{rep.accepted_fraction!r},{rep.checked_count}")
+        print("kappa,kmax,accepted_fraction,checked")
+        for kappa in (float(x) for x in args.kappas.split(",")):
+            for kmax in (args.kmax, 2 * args.kmax):
+                rep = melnikov_scan(rnf, kappa, kmax, args.smax,
+                                    points_per_dim=args.rho_grid)
+                print(f"{kappa!r},{kmax},{rep.accepted_fraction!r},{rep.checked_count}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

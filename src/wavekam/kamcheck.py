@@ -15,11 +15,12 @@ at Omega with the margin delta_0 |k|_1 added to the requirement.
 
 The three scans read one per-rho table, built a block of rho rows at a time
 by _rho_rows: Lambda on the |a| classes of DivisorRange and the dots
-k . Omega(rho).  A2 and A3 settle each rho point on its sorted dots, so most
-(k, rho) cells need no table pass of their own: the A3 screen is exact, the
-A2 screen conservative with a rounding slack (SCREEN_SLACK), and only the
-cells it flags run the exact per-cell test.  Reports, counts and violation
-order are those of the plain per-(k, rho) scans.
+k . Omega(rho); the (a, b) tables are DivisorRange's, on the same classes.
+A2 and A3 settle each rho point on its sorted dots, so most (k, rho) cells
+need no table pass of their own: the A3 screen is exact, the A2 screen
+conservative with a rounding slack (SCREEN_SLACK), and only the cells it
+flags run the exact per-cell test.  Reports, counts and violation order are
+those of the plain per-(k, rho) scans over the modes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .birkhoff import RescaledNormalForm
-from .smalldiv import DivisorRange, abs_classes
+from .smalldiv import DivisorRange
 
 MAX_UNFORCED_DIM = 4
 # slack of the A2 screen, relative to the size of the summands of a divisor
@@ -119,14 +120,13 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
     """Separation: Lambda_a(rho) >= <a> and |Lambda_a - Lambda_b| >=
     (1/8)||a|-|b|| over normal modes |a|,|b| <= S and a rho grid."""
     grid = rho_grid(rnf.A.n, points_per_dim, force)
-    normals = np.array(rnf.A.normal_modes(S), dtype=int)
-    uabs, _, inv, _ = abs_classes(normals)
+    rng = DivisorRange(rnf.A, 0, S)                 # A1 reads no k and no dots
+    normals, uabs, inv = rng.normals, rng.uabs, rng.inv
     brackets = np.maximum(np.abs(normals), 1)
     iu, ju = np.triu_indices(len(uabs), 1)          # the pairs |a| < |b|
     gaps = (uabs[ju] - uabs[iu]) / 8.0
     violations: list[Violation] = []
-    no_k = np.empty((0, rnf.A.n))                   # A1 reads no dots
-    for rho, lam_u, _ in _rho_rows(rnf, grid, uabs, no_k, len(normals) + len(iu)):
+    for rho, lam_u, _ in _rho_rows(rnf, grid, uabs, rng.kmat, len(normals) + len(iu)):
         lower = lam_u[:, inv] < brackets
         diff = np.abs(lam_u[:, iu] - lam_u[:, ju])
         close = diff < gaps
@@ -220,7 +220,6 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     small_cap = nu ** (-gamma_exponent)
     grid = rho_grid(n, points_per_dim, force)
     rng = DivisorRange(A, N, S)
-    normals = rng.normals
     lam_base = rnf.fs.lam(rng.uabs)
     deriv_row = (3.0 / math.pi) * float(
         np.linalg.norm(1.0 / rnf.fs.omega_vector(A), 2))
@@ -233,34 +232,16 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     # for large k the pure derivative certificate skips the whole rho sweep
     active = np.flatnonzero((k_l1 <= small_cap) | ~(mks - worst_allowance >= 1.0))
     branch_counts["derivative"] += len(grid) * (len(rng.ks) - len(active))
-    checked = len(rng.ks) * len(grid) * (1 + len(normals) * (1 + 2 * len(normals)))
+    checked = len(rng.ks) * len(grid) * (1 + len(rng.normals) * (1 + 2 * len(rng.normals)))
 
-    # Lambda, the weights, the allowances and the resonant patterns depend on
-    # |a| and |b| only: every table below has one row (column) per |a| class,
-    # and mult counts the (a, b) of the full tables that each entry stands for
-    first, inv, mult, uabs = rng.first, rng.inv, rng.mult, rng.uabs
-    sub = np.ix_(first, first)
-    distinct = rng.distinct[sub]
-    rows_cols = {"D1": (first, slice(None)), "D2": sub, "D3": sub}
-    nu23w = {f: (nu ** (2.0 / 3.0) * rng.weights[f])[rows_cols[f]] for f in rows_cols}
+    # every table below is over the |a| classes of DivisorRange, and
+    # rng.members counts the (a, b) of the mode tables that each entry stands for
+    nu23w = {f: nu ** (2.0 / 3.0) * rng.weights[f] for f in ("D1", "D2", "D3")}
     # Lambda-derivative allowance per (a, b), summed as the scalar path does
     allow1 = deriv_row / lam_base
     allowance = {"D1": allow1[:, None], "D2": allow1[:, None] + allow1[None, :]}
     allowance["D3"] = allowance["D2"]
-    weight = {"D1": mult[:, None], "D2": mult[:, None] * mult[None, :]}
-    weight["D3"] = weight["D2"]
     found: dict[int, list[Violation]] = {int(i): [] for i in active}
-
-    def resonant_mask(family: str, k: tuple[int, ...]) -> Optional[np.ndarray]:
-        """Mask of the family's resonant (|a|, |b|) at k; None for most k."""
-        keys = rng.resonant(family, k)
-        if not keys:
-            return None
-        mask = np.zeros(weight[family].shape, dtype=bool)
-        for key in keys:
-            rows = uabs[:, None] == key[0]
-            mask |= rows & (uabs[None, :] == key[1]) if len(key) == 2 else rows
-        return mask
 
     def settle(ids: np.ndarray, d: np.ndarray, rho_t: tuple[float, ...],
                lam_u: np.ndarray) -> None:
@@ -272,11 +253,10 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
         out = [found[i] for i in ids]
 
         def record(family, mask, vals, req):
-            cols = inv if family != "D1" else np.zeros(1, dtype=int)
-            for f, r, c in zip(*np.nonzero(mask[:, inv][:, :, cols])):
-                u, v = inv[r], cols[c]
+            for f, i, j in zip(*np.nonzero(rng.spread(family, mask))):
+                u, v = rng.inv[i], (0 if family == "D1" else rng.inv[j])
                 out[f].append(Violation(
-                    "A2", family, rng.ks[ids[f]], *rng.ab(family, r, c), rho_t,
+                    "A2", family, rng.ks[ids[f]], *rng.ab(family, i, j), rho_t,
                     0.0 if vals is None else float(vals[f, u, v]),
                     0.0 if req is None else float(req[f, u, v]), "value+derivative"))
 
@@ -288,13 +268,13 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
             req = nu23w[family] + margin[:, None, None]
             bad = np.abs(vals) < req
             if family == "D3":
-                bad &= distinct
-            masks = [resonant_mask(family, rng.ks[i]) for i in ids]
+                bad &= rng.distinct
+            masks = [rng.resonant(family, rng.ks[i]) for i in ids]
             if any(m is not None for m in masks):
                 resonant = np.array([np.zeros_like(bad[0]) if m is None else m
                                      for m in masks])
                 hit = bad & resonant
-                branch_counts["resonant-pattern"] += int((hit * weight[family]).sum())
+                branch_counts["resonant-pattern"] += int((hit * rng.members[family]).sum())
                 # exact O(nu) shift; must stay away from zero
                 zero = hit & (vals == 0.0)
                 if zero.any():
@@ -310,16 +290,17 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
                                     float(d[f]), float(req0[f]), "value+derivative"))
         for family, vals, req, bad in failing:
             ok = mk[:, None, None] - allowance[family] >= 1.0
-            branch_counts["derivative"] += int(((bad & ok) * weight[family]).sum())
+            branch_counts["derivative"] += int(((bad & ok) * rng.members[family]).sum())
             if (bad & ~ok).any():
                 record(family, bad & ~ok, vals, req)
 
-    iu, ju = np.triu_indices(len(first))           # D2 is symmetric in (a, b)
-    ou, ov = np.nonzero(distinct)                   # D3 only has |a| != |b|
+    n_classes = len(rng.uabs)
+    iu, ju = np.triu_indices(n_classes)             # D2 is symmetric in (a, b)
+    ou, ov = np.nonzero(rng.distinct)               # D3 only has |a| != |b|
     screen_t = np.concatenate([nu23w["D1"][:, 0], nu23w["D2"][iu, ju],
                                nu23w["D3"][ou, ov]]) + margins[active].max(initial=0.0)
-    block = max(1, CELL_BLOCK // max(1, len(first) ** 2))
-    blocks = _rho_rows(rnf, grid, uabs, rng.kmat[active], len(active) + len(first))
+    block = max(1, CELL_BLOCK // max(1, n_classes ** 2))
+    blocks = _rho_rows(rnf, grid, rng.uabs, rng.kmat[active], len(active) + n_classes)
     for rho_b, lam_b, dots_b in (blocks if len(active) else ()):
         for rho, lam_u, dots in zip(rho_b, lam_b, dots_b):
             x = np.concatenate([lam_u, lam_u[iu] + lam_u[ju], lam_u[ou] - lam_u[ov]])
@@ -374,13 +355,10 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
         raise ValueError("N must be >= 1")
     grid = rho_grid(rnf.A.n, points_per_dim, force)
     rng = DivisorRange(rnf.A, N, S)
-    normals, pair_mask = rng.normals, rng.distinct
     weights = kappa * rng.weights["D3"]
-    # the pairs |a| != |b| of the |a| classes
-    sub = np.ix_(rng.first, rng.first)
-    ou, ov = np.nonzero(pair_mask[sub])
-    pair_weights = weights[sub][ou, ov]
-    per_k = int(pair_mask.sum())
+    ou, ov = np.nonzero(rng.distinct)               # the class pairs |a| != |b|
+    pair_weights = weights[ou, ov]
+    per_k = int((rng.distinct * rng.members["D3"]).sum())
     block = max(1, CELL_BLOCK // max(1, len(ou)))
     accepted_mask: list[bool] = []
     checked = 0
@@ -400,15 +378,16 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
                     first_bad = start + int(np.argmax(bad_k))
                     break
             checked += (first_bad + 1) * per_k
-            d, lam = dots[first_bad], lam_u[rng.inv]
-            bad = pair_mask & (np.abs(d + (lam[:, None] - lam[None, :])) < weights)
-            i, j = next(zip(*np.nonzero(bad)))
+            d = dots[first_bad]
+            bad = rng.distinct & (np.abs(d + (lam_u[:, None] - lam_u[None, :])) < weights)
+            i, j = next(zip(*np.nonzero(rng.spread("D3", bad))))
+            u, v = rng.inv[i], rng.inv[j]
             # summed as np.dot(k, omega_of(rho)) + lambda_of(a, rho) -
             # lambda_of(b, rho), so the value is bitwise that of the evaluators
             violations.append(Violation(
-                "A3", "melnikov", rng.ks[first_bad], int(normals[i]), int(normals[j]),
-                tuple(float(r) for r in rho), float(d + lam[i] - lam[j]),
-                float(weights[i, j])))
+                "A3", "melnikov", rng.ks[first_bad], *rng.ab("D3", i, j),
+                tuple(float(r) for r in rho), float(d + lam_u[u] - lam_u[v]),
+                float(weights[u, v])))
             accepted_mask.append(False)
     gamma_exponent = 0.1
     n = rnf.A.n

@@ -62,14 +62,14 @@ class SimConfig:
             raise ValueError("cutoff must cover the tangential set")
         if set(self.actions) != set(self.A.modes):
             raise ValueError("actions must be given exactly on the tangential modes")
-        if any(v <= 0 for v in self.actions.values()):
-            raise ValueError("actions must be positive")
+        if not all(0 < v < math.inf for v in self.actions.values()):
+            raise ValueError("actions must be positive and finite")
+        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+            raise ValueError("dt and T must be positive and finite")
         lam_max = float(fs.lam(self.cutoff))
         if self.dt * lam_max > 0.5:
             raise ValueError(
                 f"resolution gate: dt * max frequency = {self.dt * lam_max:.3f} > 0.5")
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
 

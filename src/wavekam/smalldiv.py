@@ -12,8 +12,9 @@ Resonance is decided by the index pattern, never by a numeric zero test.
 (|a|, |b|) whose divisor vanishes identically in the mass: D0 at k = 0, D1 at
 k = -e_s with |a| = |s|, D2 at k = -e_s - e_s' with (|s|, |s'|) in either
 order, D3 at k = -e_s + e_s' with (|s|, |s'|).  Every other k is
-non-resonant.  `DivisorRange` owns the (k, a, b) range and the (a, b) weight
-tables that the scans here and in kamcheck walk.
+non-resonant.  `DivisorRange` owns the (k, a, b) range and the (a, b) tables
+(weights, |a| != |b|, the resonant entries of each (kind, k)) over the |a|
+classes that the scans here and in kamcheck walk.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .intervals import Interval, interval_frequency
 from .spectrum import AdmissibleSet, FrequencySystem, MeasureEstimate, _count_boundary_cells, _mass_grid
 
 KINDS = ("D0", "D1", "D2", "D3")
+# cap on the (b-class, mass) entries of one excluded-mass pass: past about a
+# megabyte the pass's tables fall out of a core's cache, and it runs 2-3x slower
+GRID_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,6 @@ def certify_lower_bound(q: DivisorQuery, m: float, A: AdmissibleSet,
     return iv.abs_lower() >= kappa * divisor_weight(q)
 
 
-def _pattern_key(a: Optional[int], b: Optional[int]) -> tuple[int, ...]:
-    """(|a|, |b|) of a query, without the indices its kind does not have."""
-    return tuple(abs(s) for s in (a, b) if s is not None)
-
-
 @functools.lru_cache(maxsize=None)
 def resonant_patterns(A: AdmissibleSet) -> MappingProxyType:
     """The resonant index patterns of A, read-only since every caller shares
@@ -156,8 +155,10 @@ def resonant_patterns(A: AdmissibleSet) -> MappingProxyType:
 
 
 def classify_resonant(q: DivisorQuery, A: AdmissibleSet) -> bool:
-    """Combinatorial resonance test: q's index pattern is in the table of A."""
-    return _pattern_key(q.a, q.b) in resonant_patterns(A).get((q.kind, q.k), ())
+    """Combinatorial resonance test: q's index pattern (|a|, |b|), without the
+    indices its kind does not have, is in the table of A."""
+    key = tuple(abs(s) for s in (q.a, q.b) if s is not None)
+    return key in resonant_patterns(A).get((q.kind, q.k), ())
 
 
 # ---------------------------------------------------------------------------
@@ -201,65 +202,94 @@ def scan_metadata(A: AdmissibleSet, kappa: float, N: int, S: int) -> dict:
     }
 
 
-def abs_classes(normals: np.ndarray):
-    """The |a| classes of the modes `normals`: the sorted distinct |a|, the
-    position of each class's first member, each mode's class and each
-    class's size."""
-    return np.unique(np.abs(normals), return_index=True, return_inverse=True,
-                     return_counts=True)
-
-
 class DivisorRange:
-    """The (k, a, b) range of a scan and its (a, b) weight tables, built once
-    per (A, N, S): k over 0 < |k|_1 <= N, plus k = 0 with |a| != |b| for D3;
-    a and b over the normal modes |s| <= S, indexing the tables by position
-    in `normals`.  weights[kind] holds divisor_weight over the kind's 2-D
-    table: (1, 1) for D0, (|normals|, 1) for D1, square for D2 and D3.
-    kmat holds the k as the rows of a float array.
-
-    Frequencies and weights depend on |a| only; `uabs`, `first`, `inv` and
-    `mult` are the |a| classes of `normals` (abs_classes)."""
+    """The (k, a, b) range of a scan and its (a, b) tables, built once per
+    (A, N, S): k over 0 < |k|_1 <= N, plus k = 0 with |a| != |b| for D3; a
+    and b over the normal modes |s| <= S (`normals`).  Weights, frequencies
+    and resonance depend on |a| and |b| only, so every table is indexed by
+    the C classes |a| of `normals`: `uabs` the sorted distinct |a|, `first`
+    each class's first position in `normals`, `inv` each mode's class and
+    `mult` each class's size.  Tables are (1, 1) for D0, (C, 1) for D1, C x C for D2 and D3:
+    weights[kind] holds divisor_weight, members[kind] the (a, b) mode pairs
+    that each entry stands for, `distinct` the entries |a| != |b|; spread()
+    turns a class table into the table over the modes.  kmat holds the k as
+    the rows of a float array."""
 
     def __init__(self, A: AdmissibleSet, N: int, S: int):
         self.zero = (0,) * A.n
         self.ks = list(_k_vectors(A.n, N))
         self.kmat = np.array(self.ks, dtype=float).reshape(len(self.ks), A.n)
         self.normals = np.array(A.normal_modes(S), dtype=int)
-        abs_n = np.abs(self.normals)
-        w1 = np.maximum(abs_n, 1).astype(float)
+        self.uabs, self.first, self.inv, self.mult = np.unique(
+            np.abs(self.normals), return_index=True, return_inverse=True, return_counts=True)
+        w1 = np.maximum(self.uabs, 1).astype(float)
         self.weights = {"D0": np.ones((1, 1)), "D1": w1[:, None],
                         "D2": w1[:, None] + w1[None, :],
-                        "D3": 1.0 + np.abs(abs_n[:, None] - abs_n[None, :])}
-        self.distinct = abs_n[:, None] != abs_n[None, :]
-        self.uabs, self.first, self.inv, self.mult = abs_classes(self.normals)
-        self.patterns = resonant_patterns(A)
+                        "D3": 1.0 + np.abs(self.uabs[:, None] - self.uabs[None, :])}
+        pairs = np.outer(self.mult, self.mult)
+        self.members = {"D1": self.mult[:, None], "D2": pairs, "D3": pairs}
+        self.distinct = self.uabs[:, None] != self.uabs[None, :]
+        index = {int(s): c for c, s in enumerate(self.uabs)}
+        self._resonant = {}
+        for (kind, k), keys in resonant_patterns(A).items():
+            mask = np.zeros(self.weights[kind].shape, dtype=bool)
+            for key in keys:        # (), (|a|,) or (|a|, |b|): one class per index
+                if all(s in index for s in key):
+                    mask[tuple(index[s] for s in key)] = True
+            self._resonant[kind, k] = mask
 
-    def ks_of(self, kind: str) -> list[tuple[int, ...]]:
-        return self.ks + [self.zero] if kind == "D3" else self.ks
+    def resonant(self, kind: str, k: tuple[int, ...]) -> Optional[np.ndarray]:
+        """Mask of the kind's resonant entries at k, from resonant_patterns;
+        None for the many k with no resonant pattern."""
+        return self._resonant.get((kind, k))
 
     def rows(self, kind: str, k: tuple[int, ...]) -> np.ndarray:
-        """Mask of the rows of the kind's table that are in range at k."""
-        if kind == "D3" and k == self.zero:
-            return self.distinct
-        return np.ones(self.weights[kind].shape, dtype=bool)
+        """Mask of the entries of the kind's table that are in range at k."""
+        if k != self.zero:
+            return np.ones(self.weights[kind].shape, dtype=bool)
+        return self.distinct if kind == "D3" else np.zeros_like(self.weights[kind], dtype=bool)
+
+    def bound(self, kind: str, k: tuple[int, ...], kappa: float) -> np.ndarray:
+        """The lower bound kappa * weight over the kind's table at k, 0 at the
+        entries that are out of range or resonant: no |value| < 0 holds."""
+        required = kappa * self.weights[kind]
+        keep = self.rows(kind, k)
+        resonant = self.resonant(kind, k)
+        if resonant is not None:
+            keep = keep & ~resonant
+        return required if keep.all() else np.where(keep, required, 0.0)
+
+    def spread(self, kind: str, table: np.ndarray) -> np.ndarray:
+        """A table over the kind's classes, or a stack of them along leading
+        axes, as the table over the modes: entry (i, j) is that of the classes
+        of normals[i] and normals[j]."""
+        if kind == "D0":
+            return table
+        table = table[..., self.inv, :]
+        return table if kind == "D1" else table[..., self.inv]
 
     def ab(self, kind: str, i: int, j: int) -> tuple[Optional[int], Optional[int]]:
-        """The (a, b) of row (i, j) of the kind's table."""
+        """The (a, b) of entry (i, j) of the kind's table over the modes."""
         a = None if kind == "D0" else int(self.normals[i])
         return a, (int(self.normals[j]) if kind in ("D2", "D3") else None)
 
-    def resonant(self, kind: str, k: tuple[int, ...]) -> frozenset:
-        """Resonant (|a|, |b|) keys of the kind at k; empty for most k."""
-        return self.patterns.get((kind, k), frozenset())
+
+def _scan_cutoff(A: AdmissibleSet, kappa: float, N: int, S: Optional[int]) -> int:
+    """A scan's mode cutoff S, or its default, once kappa and N are checked."""
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return default_mode_cutoff(A, N) if S is None else S
 
 
 def enumerate_queries(A: AdmissibleSet, N: int, S: int) -> Iterator[DivisorQuery]:
-    """One DivisorQuery per row of DivisorRange(A, N, S), in scan order.  The
-    scans do not build these; this serves callers that want query objects."""
+    """One DivisorQuery per (k, a, b) of DivisorRange(A, N, S), in scan order.
+    The scans do not build these; this serves callers that want queries."""
     rng = DivisorRange(A, N, S)
     for kind in KINDS:
-        for k in rng.ks_of(kind):
-            for i, j in zip(*np.nonzero(rng.rows(kind, k))):
+        for k in [*rng.ks, rng.zero]:
+            for i, j in zip(*np.nonzero(rng.spread(kind, rng.rows(kind, k)))):
                 yield DivisorQuery(kind, k, *rng.ab(kind, i, j))
 
 
@@ -283,33 +313,29 @@ def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: in
     point.  certify=True re-checks each reported violation in interval
     arithmetic: certified=True means that the violation provably holds.  D3
     at k = 0 is lambda_a - lambda_b >= (1 + ||a| - |b||) / 8 for |a| != |b|,
-    so those rows report nothing while kappa <= 1/8.
+    so those rows report nothing while kappa <= 1/8.  Each (kind, k) is one
+    pass over the class table, spread to the modes only where an entry fails.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if S is None:
-        S = default_mode_cutoff(A, N)
+    S = _scan_cutoff(A, kappa, N, S)
     if S < A.n_bound:
         raise ValueError("S must cover the tangential set")
     rng = DivisorRange(A, N, S)
     omega = fs.omega_vector(A)
-    lam = np.asarray(fs.lam(rng.normals), dtype=float)
-    dots = {k: float(np.dot(k, omega)) for k in rng.ks_of("D3")}
+    lam = np.asarray(fs.lam(rng.uabs), dtype=float)
+    ks = [*rng.ks, rng.zero]
+    dots = {k: float(np.dot(k, omega)) for k in ks}
     violations = []
     for kind in KINDS:
-        required = kappa * rng.weights[kind]
-        for k in rng.ks_of(kind):
-            values = _values(kind, dots[k], lam)
-            bad = rng.rows(kind, k) & (np.abs(values) < required)
+        for k in ks:
+            values, bound = _values(kind, dots[k], lam), rng.bound(kind, k, kappa)
+            bad = np.abs(values) < bound
+            if not bad.any():
+                continue
+            bad, values, bound = (rng.spread(kind, t) for t in (bad, values, bound))
             for i, j in zip(*np.nonzero(bad)):
-                a, b = rng.ab(kind, i, j)
-                if _pattern_key(a, b) in rng.resonant(kind, k):
-                    continue
-                q = DivisorQuery(kind, k, a, b)
+                q = DivisorQuery(kind, k, *rng.ab(kind, i, j))
                 report = DivisorReport(q, float(values[i, j]), False,
-                                       float(required[i, j]), False, mass=fs.mass)
+                                       float(bound[i, j]), False, mass=fs.mass)
                 if certify:
                     iv = evaluate_divisor_interval(q, fs.mass, A)
                     report.certified = iv.abs_upper() < report.bound_required
@@ -321,39 +347,33 @@ def excluded_mass_scan(A: AdmissibleSet, kappa: float, N: int,
                        S: Optional[int] = None, grid: int = 10 ** 4) -> MeasureEstimate:
     """Fraction of grid masses in [1,2] at which some lower bound fails.
 
-    Walks DivisorRange(A, N, S) one non-resonant (k, a, b) row at a time,
-    each row vectorized over the mass grid; the excluded set is the union of
-    the rows' violation masks.
+    Walks DivisorRange(A, N, S) one array pass per (k, a-class) over the
+    b-classes and a block of masses (D0 once per k, D1 once per k and block);
+    a resonant or out-of-range entry has bound 0 (DivisorRange.bound), which
+    no value fails.  The excluded set is the union of the passes' violation
+    masks.
     """
-    if S is None:
-        S = default_mode_cutoff(A, N)
+    S = _scan_cutoff(A, kappa, N, S)
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     rng = DivisorRange(A, N, S)
     lam_grid = FrequencySystem(_mass_grid(grid)).lam
     omega_grid = lam_grid(np.array(A.modes)[:, None])
-    normals = [int(s) for s in rng.normals]
-    lam = list(lam_grid(rng.normals[:, None]))  # rows index faster from a list
+    lam = lam_grid(rng.uabs[:, None])
     excluded = np.zeros(grid, dtype=bool)
-
-    def exclude(values: np.ndarray, weight: float) -> None:
-        np.logical_or(excluded, np.abs(values) < kappa * weight, out=excluded)
-
-    w1, w2, w3 = (rng.weights[kind] for kind in ("D1", "D2", "D3"))
-    for k in rng.ks_of("D3"):
+    step = max(1, GRID_BLOCK // max(1, len(lam)))
+    for k in [*rng.ks, rng.zero]:
         dot = np.tensordot(np.array(k, dtype=float), omega_grid, axes=1)
-        nonzero, in_range3 = k != rng.zero, rng.rows("D3", k)
-        res1, res2, res3 = (rng.resonant(kind, k) for kind in ("D1", "D2", "D3"))
-        if nonzero:
-            exclude(dot, 1.0)
-        for i, a in enumerate(normals):
-            d1 = dot + lam[i]
-            if nonzero and (abs(a),) not in res1:
-                exclude(d1, w1[i, 0])
-            for j, b in enumerate(normals):
-                key = (abs(a), abs(b))
-                if nonzero and key not in res2:
-                    exclude(d1 + lam[j], w2[i, j])
-                if in_range3[i, j] and key not in res3:
-                    exclude(d1 - lam[j], w3[i, j])
+        b0, b1, b2, b3 = (rng.bound(kind, k, kappa) for kind in KINDS)
+        excluded |= np.abs(dot) < b0[0, 0]
+        for lo in range(0, grid, step):
+            cut = slice(lo, lo + step)
+            lam_c, hit = lam[:, cut], excluded[cut]
+            d1 = dot[cut] + lam_c
+            hit |= np.any(np.abs(d1) < b1, axis=0)
+            for u, row in enumerate(d1):
+                hit |= np.any(np.abs(row + lam_c) < b2[u, :, None], axis=0)
+                hit |= np.any(np.abs(row - lam_c) < b3[u, :, None], axis=0)
     meta = scan_metadata(A, kappa, N, S)
     tau, iota = meta["tau_d3"], meta["iota_d3"]
     return MeasureEstimate(

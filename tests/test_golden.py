@@ -1,5 +1,6 @@
-"""Byte-identity of the normal form: the outputs of commit 676fcdb, when
-polynomials were dicts of Monomials, pinned by their sha256."""
+"""Byte-identity pins, by sha256: the normal form as of commit 676fcdb, when
+polynomials were dicts of Monomials, and the divisor and excluded-mass
+outputs as of commit b8b49d1, when the (a, b) tables were indexed by mode."""
 
 import hashlib
 
@@ -9,6 +10,7 @@ from wavekam.birkhoff import solve_homological
 from wavekam.cli import main
 from wavekam.polyham import build_p4
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
+from test_scripts import run_script
 
 
 def sha256(data: bytes) -> str:
@@ -44,3 +46,28 @@ def test_remainder_terms(modes, mass, n_terms, digest):
     assert len(r6) == n_terms
     text = "\n".join(f"{m.xi} {m.eta} {c.real.hex()} {c.imag.hex()}" for m, c in r6)
     assert sha256(text.encode()) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--modes", "1", "--kappas", "1e-06,0.0001,0.01", "--kmaxes", "1,2,3",
+      "--smax", "8", "--grid", "16000"],
+     "e64a269e727eeb881cd15cab266dc235e0a3814f6a7f99da33251049218138b0"),
+    (["--modes", "0,1,5", "--kappas", "1e-06,0.0001,0.01", "--kmaxes", "1,2",
+      "--smax", "8", "--grid", "8000"],
+     "55a192bbb4643800127c3280b2b78a8f3c5f62a8711553d7ad37e51cf88b4a29"),
+], ids=["one_mode", "three_modes"])
+def test_excluded_mass_study_stdout(argv, digest):
+    assert sha256(run_script("excluded_mass_study", argv).encode()) == digest
+
+
+@pytest.mark.parametrize("kappa, violations, excluded", [
+    ("1e-8", "3dd56f8f89c94199b3ec7235bbbc03ef15e6b5b5e47be9fb838a3575c0da226d",
+     "53af4f6973344be216950e0cdef338d21d575f28546c8596cec62169da3ac1f8"),
+    ("0.05", "dbdddf5e2954e8e8a6f846da576b522afd89f6860af4edbabca66c6451ac87ff",
+     "78a8c8c91c756313cb559a8049f6eb2c3ef3a091fb7f2bf11763fd543b68fb4e"),
+], ids=["readme", "flooded"])
+def test_divisors_outputs(tmp_path, capsys, kappa, violations, excluded):
+    main(["divisors", "--modes", "1", "--mass", "1.5123", "--kappa", kappa, "--kmax", "2",
+          "--smax", "6", "--grid", "2000", "--certify", "--output-dir", str(tmp_path)])
+    assert sha256((tmp_path / "violations.csv").read_bytes()) == violations
+    assert sha256((tmp_path / "excluded_mass.json").read_bytes()) == excluded

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Optional
 
@@ -18,7 +19,7 @@ from wavekam.kamcheck import (
     rho_grid,
 )
 from wavekam.polyham import build_p4
-from wavekam.smalldiv import DivisorRange
+from wavekam.smalldiv import DivisorRange, resonant_patterns
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 
 GENERIC_MASS = 1.31   # passes all three hypotheses at nu = 1e-4, N = 20, S = 60
@@ -221,11 +222,30 @@ class TestStackedMaps:
 
 
 # ---------------------------------------------------------------------------
-# Reference scans: one table pass per (k, rho) cell.  check_a1,
+# Reference scans: one table pass per (k, rho) cell over the full (a, b)
+# tables of the modes, built here in plain numpy.  check_a1,
 # check_transversality and melnikov_scan evaluate the frequency maps on
-# blocks of rho rows and settle most cells on sorted dots; they must report
-# exactly what these loops report, counts and violation order included.
+# blocks of rho rows, on the |a| classes, and settle most cells on sorted
+# dots; they must report exactly what these loops report, counts and
+# violation order included.
 # ---------------------------------------------------------------------------
+
+def k_range(n, N):
+    """Integer vectors with 0 < |k|_1 <= N, in lexicographic order."""
+    return [k for k in itertools.product(range(-N, N + 1), repeat=n)
+            if 0 < sum(abs(x) for x in k) <= N]
+
+
+def mode_tables(A, S):
+    """The normal modes |s| <= S, the divisor weights over the (a, b) tables
+    of the modes ((|normals|,) for D1) and the mask of |a| != |b|."""
+    normals = np.array([s for s in range(-S, S + 1) if s not in A.modes])
+    abs_n = np.abs(normals)
+    w1 = np.maximum(abs_n, 1).astype(float)
+    weights = {"D1": w1, "D2": w1[:, None] + w1[None, :],
+               "D3": 1.0 + np.abs(abs_n[:, None] - abs_n[None, :])}
+    return normals, weights, abs_n[:, None] != abs_n[None, :]
+
 
 def reference_a1(rnf, S, points_per_dim=None, force=False):
     grid = rho_grid(rnf.A.n, points_per_dim, force)
@@ -260,8 +280,8 @@ def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None
     delta0 = 0.5 * nu / float(np.linalg.norm(np.linalg.inv(rnf.M), 2))
     small_cap = nu ** (-gamma_exponent)
     grid = rho_grid(n, points_per_dim, force)
-    rng = DivisorRange(A, N, S)
-    normals = rng.normals
+    normals, weights, distinct = mode_tables(A, S)
+    patterns = resonant_patterns(A)
     lam_base = np.asarray(rnf.fs.lam(normals), dtype=float)
     deriv_row = (3.0 / math.pi) * float(
         np.linalg.norm(1.0 / rnf.fs.omega_vector(A), 2))
@@ -281,9 +301,9 @@ def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None
         if abs(omega_k) < required0:
             failures.append(("D0", None, None, omega_k, required0))
         vals1 = omega_k + lam
-        req1 = nu ** (2.0 / 3.0) * rng.weights["D1"][:, 0] + margin
+        req1 = nu ** (2.0 / 3.0) * weights["D1"] + margin
         bad1 = np.abs(vals1) < req1
-        resonant = rng.resonant("D1", k)
+        resonant = patterns.get(("D1", k), ())
         for idx in np.nonzero(bad1)[0]:
             a = int(normals[idx])
             if (abs(a),) in resonant:
@@ -294,11 +314,11 @@ def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None
             failures.append(("D1", a, None, float(vals1[idx]), float(req1[idx])))
         for family, sign in (("D2", 1.0), ("D3", -1.0)):
             vals = vals1[:, None] + sign * lam[None, :]
-            req = nu ** (2.0 / 3.0) * rng.weights[family] + margin
+            req = nu ** (2.0 / 3.0) * weights[family] + margin
             bad = np.abs(vals) < req
             if family == "D3":
-                bad &= rng.distinct
-            resonant = rng.resonant(family, k)
+                bad &= distinct
+            resonant = patterns.get((family, k), ())
             for i, j in zip(*np.nonzero(bad)):
                 a, b = int(normals[i]), int(normals[j])
                 if (abs(a), abs(b)) in resonant:
@@ -310,7 +330,7 @@ def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None
         return failures
 
     worst_allowance = 2.0 * deriv_row / float(np.min(lam_base))
-    for k in rng.ks:
+    for k in k_range(n, N):
         kvec = np.array(k, dtype=float)
         k_l1 = float(np.abs(kvec).sum())
         margin = delta0 * k_l1
@@ -345,10 +365,9 @@ def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None
 
 def reference_melnikov(rnf, kappa, N, S, points_per_dim=None, force=False):
     grid = rho_grid(rnf.A.n, points_per_dim, force)
-    rng = DivisorRange(rnf.A, N, S)
-    normals, pair_mask = rng.normals, rng.distinct
-    weights = kappa * rng.weights["D3"]
-    ks = [np.array(k, dtype=float) for k in rng.ks]
+    normals, weights, pair_mask = mode_tables(rnf.A, S)
+    weights = kappa * weights["D3"]
+    ks = [np.array(k, dtype=float) for k in k_range(rnf.A.n, N)]
     accepted_mask = []
     checked = 0
     violations = []

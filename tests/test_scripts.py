@@ -5,22 +5,34 @@ import io
 import os
 import sys
 
+import pytest
+
+from wavekam.smalldiv import excluded_mass_scan
+from wavekam.spectrum import AdmissibleSet
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
-def run_script(name, argv):
+def call_script(name, argv):
+    """Run a study script's main with argv; its exit code, stdout and stderr."""
     path = os.path.join(SCRIPTS, name + ".py")
     spec = importlib.util.spec_from_file_location("script_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    out, saved = io.StringIO(), sys.argv
+    out, err, saved = io.StringIO(), io.StringIO(), sys.argv
     sys.argv = [path, *argv]
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            assert module.main() == 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = module.main()
     finally:
         sys.argv = saved
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_script(name, argv):
+    code, out, _ = call_script(name, argv)
+    assert code == 0
+    return out
 
 
 def test_frequency_shift_csv_cells_are_plain_floats():
@@ -48,3 +60,48 @@ def test_melnikov_sweep_csv_falls_with_kappa():
         assert [float(r["kappa"]) for r in rows if r["kmax"] == kmax] == kappas
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
         assert fractions[0] == 1.0 and fractions[-1] < 1.0
+
+
+def test_excluded_mass_csv_rows_are_the_scan():
+    kappas, kmaxes = [1e-4, 1e-3, 1e-2], [1, 2]
+    text = run_script("excluded_mass_study", [
+        "--modes", "0,2", "--kappas", ",".join(repr(k) for k in kappas),
+        "--kmaxes", "1,2", "--smax", "6", "--grid", "2000"])
+    assert text.splitlines()[0] == "kappa,kmax,excluded_fraction,bound_shape,tau_d3,iota_d3"
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [(float(r["kappa"]), int(r["kmax"])) for r in rows] == [
+        (kappa, N) for kappa in kappas for N in kmaxes]
+    A = AdmissibleSet([0, 2])
+    fraction = {}
+    for r in rows:
+        kappa, N = float(r["kappa"]), int(r["kmax"])
+        est = excluded_mass_scan(A, kappa, N, 6, grid=2000)
+        assert [float(r[f]) for f in ("excluded_fraction", "bound_shape", "tau_d3", "iota_d3")] == [
+            est.sampled_measure, est.analytic_bound, est.parameters["tau_d3"],
+            est.parameters["iota_d3"]]
+        fraction[kappa, N] = est.sampled_measure
+    for N in kmaxes:
+        by_kappa = [fraction[kappa, N] for kappa in kappas]
+        assert by_kappa == sorted(by_kappa) and by_kappa[-1] > 0.0
+    for kappa in kappas:
+        by_n = [fraction[kappa, N] for N in kmaxes]
+        assert by_n == sorted(by_n)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("excluded_mass_study", ["--kappas=-1e-3", "--kmaxes", "1", "--grid", "200"]),
+    ("excluded_mass_study", ["--kappas", "nan", "--kmaxes", "1", "--grid", "200"]),
+    ("excluded_mass_study", ["--kappas", "1e-3", "--kmaxes", "0", "--grid", "200"]),
+    ("excluded_mass_study", ["--kappas", "1e-3", "--kmaxes", "1", "--grid", "0"]),
+    ("frequency_shift_study", ["--nus=-1e-3", "--cutoff", "4", "--tmax", "420",
+                               "--dt", "0.02"]),
+    ("frequency_shift_study", ["--nus", "nan", "--cutoff", "4", "--tmax", "420",
+                               "--dt", "0.02"]),
+    ("melnikov_sweep", ["--kappas", "1e-3", "--kmax", "2", "--smax", "6",
+                        "--rho-grid", "5"]),
+], ids=["em-negative-kappa", "em-nan-kappa", "em-kmax-0", "em-grid-0",
+        "fs-negative-nu", "fs-nan-nu", "ms-kappa-above-nu"])
+def test_library_value_error_is_a_usage_error(name, argv):
+    code, _, err = call_script(name, argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

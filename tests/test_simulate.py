@@ -65,6 +65,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             base_config(actions={2: 1e-3})
 
+    @pytest.mark.parametrize("overrides", [
+        dict(actions={1: math.nan}), dict(actions={1: math.inf}), dict(dt=math.nan),
+        dict(dt=math.inf), dict(T=math.nan), dict(T=math.inf)],
+        ids=["nan-action", "inf-action", "nan-dt", "inf-dt", "nan-T", "inf-T"])
+    def test_non_finite_rejected(self, overrides):
+        with pytest.raises(ValueError, match="finite"):
+            base_config(**overrides)
+
     def test_cutoff_covers_tangential(self):
         with pytest.raises(ValueError):
             SimConfig(cutoff=2, mass=1.3, A=AdmissibleSet([5]),

@@ -241,6 +241,9 @@ class TestScans:
             scan_lower_bounds(fs, A, -1.0, 2)
         with pytest.raises(ValueError):
             scan_lower_bounds(fs, A, 1e-6, 0)
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scan_lower_bounds(fs, A, kappa, 2)
 
     def test_certify_single_bound(self):
         A = AdmissibleSet([1])
@@ -327,6 +330,17 @@ class TestScanMatchesPerQueryReference:
         assert est.boundary_cells == int(np.count_nonzero(excluded[1:] != excluded[:-1]))
 
 
+    def test_excluded_mass_scan_counts_d3_at_k0(self):
+        # A = {1}, S = N = 1: at these kappa only D3 at k = 0 excludes masses,
+        # where lambda_1 - lambda_0 < 2 kappa
+        A = AdmissibleSet([1])
+        for kappa in (0.16, 0.18):
+            excluded = reference_excluded(A, kappa, 1, 1, 301)
+            assert excluded.any()
+            est = excluded_mass_scan(A, kappa, 1, 1, grid=301)
+            assert est.sampled_measure == float(np.mean(excluded))
+
+
 class TestExcludedMassScan:
     def test_small_kappa_small_fraction(self):
         A = AdmissibleSet([1])
@@ -341,6 +355,18 @@ class TestExcludedMassScan:
         by_n = [excluded_mass_scan(A, 1e-3, N, 6, grid=4000).sampled_measure
                 for N in (1, 2, 3)]
         assert by_n == sorted(by_n)
+
+    @pytest.mark.parametrize("kappa, N, S, grid, message", [
+        (math.nan, 2, 6, 100, "kappa must be positive"),
+        (math.inf, 2, 6, 100, "kappa must be positive and finite"),
+        (0.0, 2, 6, 100, "kappa must be positive"),
+        (-1e-3, 2, 6, 100, "kappa must be positive"),
+        (1e-3, 0, 6, 100, "N must be >= 1"),
+        (1e-3, 2, 6, 0, "grid must be >= 1"),
+    ])
+    def test_validation(self, kappa, N, S, grid, message):
+        with pytest.raises(ValueError, match=message):
+            excluded_mass_scan(AdmissibleSet([5]), kappa, N, S, grid=grid)
 
     def test_metadata_exponents(self):
         A = AdmissibleSet([0, 2])
