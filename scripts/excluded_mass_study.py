@@ -21,16 +21,19 @@ def main() -> int:
 
     try:
         A = AdmissibleSet(int(x) for x in args.modes.split(","))
-        print("kappa,kmax,excluded_fraction,bound_shape,tau_d3,iota_d3")
+        rows = []
         for kappa in (float(x) for x in args.kappas.split(",")):
             for N in (int(x) for x in args.kmaxes.split(",")):
                 est = excluded_mass_scan(A, kappa, N, args.smax, grid=args.grid)
-                print(f"{kappa!r},{N},{est.sampled_measure!r},"
-                      f"{est.analytic_bound!r},{est.parameters['tau_d3']!r},"
-                      f"{est.parameters['iota_d3']!r}")
+                rows.append(f"{kappa!r},{N},{est.sampled_measure!r},"
+                            f"{est.analytic_bound!r},{est.parameters['tau_d3']!r},"
+                            f"{est.parameters['iota_d3']!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # stdout gets the CSV only once every row is computed
+    print("kappa,kmax,excluded_fraction,bound_shape,tau_d3,iota_d3")
+    print("\n".join(rows))
     return 0
 
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the action scale nu and compare the measured tangential frequency
-against omega + M I.  Emits a CSV row per run:
+against omega + M I.  All nu values run as one integrate_batch call, and
+the CSV goes to stdout only once every run has been fitted, one row per
+run and mode:
 
-    nu, omega_linear, omega_predicted, omega_extracted, gap, tolerance
+    nu, mode, omega_linear, omega_predicted, omega_extracted, gap, tolerance
 
 The gap should scale like nu^2 (degree-6 remainder), well inside the
 O(nu^(3/2)) tolerance of the modulation law.
@@ -15,7 +17,8 @@ import time
 import numpy as np
 
 from wavekam.birkhoff import frequency_matrix
-from wavekam.simulate import SimConfig, extract_frequencies, integrate
+from wavekam.simulate import (BlowUpError, FrequencyExtractionError, SimConfig,
+                              extract_frequencies, integrate_batch)
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 
 
@@ -33,30 +36,32 @@ def main() -> int:
         A = AdmissibleSet(int(x) for x in args.modes.split(","))
         fs = FrequencySystem(args.mass)
         nus = [float(x) for x in args.nus.split(",")]
-        # every run's configuration is checked before the first one starts
+        # every run's configuration is checked before the batch starts
         cfgs = [SimConfig(cutoff=args.cutoff, mass=args.mass, A=A,
                           actions={a: nu for a in A.modes}, dt=args.dt,
                           T=args.tmax, store_every=100) for nu in nus]
-    except ValueError as exc:
+        M = frequency_matrix(fs, A)
+        omega = fs.omega_vector(A)
+        t0 = time.time()
+        trajs = integrate_batch(cfgs)
+        took = time.time() - t0
+        rows, gaps = [], []
+        for nu, traj in zip(nus, trajs):
+            extracted = extract_frequencies(traj, A)
+            shift = M @ np.full(A.n, nu)
+            for i, a in enumerate(A.modes):
+                predicted = float(omega[i] + shift[i])
+                gap = abs(extracted[a] - predicted)
+                gaps.append(gap)
+                rows.append(f"{nu!r},{a},{float(omega[i])!r},{predicted!r},"
+                            f"{extracted[a]!r},{gap!r},{10 * nu ** 1.5!r}")
+    except (ValueError, BlowUpError, FrequencyExtractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    M = frequency_matrix(fs, A)
-    omega = fs.omega_vector(A)
 
     print("nu,mode,omega_linear,omega_predicted,omega_extracted,gap,tolerance")
-    gaps = []
-    for nu, cfg in zip(nus, cfgs):
-        t0 = time.time()
-        traj = integrate(cfg)
-        extracted = extract_frequencies(traj, A)
-        shift = M @ np.full(A.n, nu)
-        for i, a in enumerate(A.modes):
-            predicted = float(omega[i] + shift[i])
-            gap = abs(extracted[a] - predicted)
-            gaps.append(gap)
-            print(f"{nu!r},{a},{float(omega[i])!r},{predicted!r},{extracted[a]!r},"
-                  f"{gap!r},{10 * nu ** 1.5!r}")
-        print(f"# run nu={nu} took {time.time() - t0:.0f}s", file=sys.stderr)
+    print("\n".join(rows))
+    print(f"# integrate_batch over {len(nus)} nu took {took:.0f}s", file=sys.stderr)
     if len(nus) >= 2:
         slope = float(np.polyfit(np.log(nus), np.log(gaps[::A.n][:len(nus)]), 1)[0])
         print(f"# fitted gap exponent: {slope:.3f}", file=sys.stderr)

@@ -30,15 +30,19 @@ def main() -> int:
         nf = solve_homological(build_p4(max(A.n_bound + 2, 4), fs), fs, A)
         rnf = rescale(nf, fs, A, args.nu, np.full(A.n, 1.5))
 
-        print("kappa,kmax,accepted_fraction,checked")
+        rows = []
         for kappa in (float(x) for x in args.kappas.split(",")):
             for kmax in (args.kmax, 2 * args.kmax):
                 rep = melnikov_scan(rnf, kappa, kmax, args.smax,
                                     points_per_dim=args.rho_grid)
-                print(f"{kappa!r},{kmax},{rep.accepted_fraction!r},{rep.checked_count}")
+                rows.append(f"{kappa!r},{kmax},{rep.accepted_fraction!r},"
+                            f"{rep.checked_count}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # stdout gets the CSV only once every row is computed
+    print("kappa,kmax,accepted_fraction,checked")
+    print("\n".join(rows))
     return 0
 
 

@@ -17,6 +17,12 @@ where c_s(u^3) are Fourier coefficients of u^3 computed by collocation with
 of the two exact flows gives an order-2 symplectic, time-reversible scheme.
 xi and eta are evolved as independent complex arrays; reality (eta = conj xi)
 is a measured diagnostic, not a baked-in constraint.
+
+Inside the step a batch of B states is one (2, B, 2S+1) array: xi, and eta
+held reversed (eta_{-s} at index s + S).  lambda is even in s, so one
+multiply rotates both rows, and the kick adds one band to xi and subtracts
+the same band from the reversed eta.  Stored samples, BlowUpError snapshots
+and every function's inputs and outputs keep eta in mode order.
 """
 
 from __future__ import annotations
@@ -124,17 +130,24 @@ def initial_state(cfg: SimConfig, rng: Optional[np.random.Generator] = None
 
 
 class _Spectral:
-    """Precomputed grids and transforms for one configuration.
+    """Precomputed grids, transforms and work buffers for one configuration.
 
     The field's 2S+1 coefficients W_s = (xi_s + eta_{-s}) / sqrt(2 lambda_s)
     sit at the head of an M-point spectrum, so one inverse transform gives
     g = u e^{iSx} on the grid x_j = 2 pi j / M.  Cubing shifts every mode by
     3S, so c_s(u^3) is coefficient s + 3S of g^3; M > 4S keeps that band
     2S..4S clear of wrap-around and de-aliases the cubic term exactly.
-    States have shape (..., 2S+1), so a batch is a stack of rows.
+    States have shape rows + (2S+1,), so a batch of B is rows = (B,).
+
+    The kernel takes eta reversed, eta_rev[s] = eta_{-s}, which is how the
+    integrator holds it: then W = (xi + eta_rev) w_scale and the kick adds
+    the same band to xi and subtracts it from eta_rev, with no reversed
+    view.  The zero-padded head, g, g^3 and the spectrum are allocated once
+    for the given rows, and every kernel result is a view into them, valid
+    until the next call.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, rows: tuple = ()):
         S = cfg.cutoff
         self.S = S
         self.lam = FrequencySystem(cfg.mass).lam(np.arange(-S, S + 1))
@@ -142,34 +155,54 @@ class _Spectral:
         self.kick_scale = 4.0 * np.sqrt(np.pi / self.lam)
         self.w_scale = 1.0 / np.sqrt(2.0 * self.lam) / math.sqrt(2.0 * math.pi)
         self.unshift = np.exp(-1j * S * (2.0 * np.pi / self.M) * np.arange(self.M))
+        # work buffers for states of shape rows + (2S+1,)
+        self._head = np.zeros(rows + (self.M,), dtype=complex)
+        self._w = self._head[..., :2 * S + 1]
+        self._g = np.empty_like(self._head)
+        self._cube = np.empty_like(self._head)
+        self._spectrum = np.empty_like(self._head)
+        self._band = self._spectrum[..., 2 * S: 4 * S + 1]
 
-    def shifted_field(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    def _field(self, xi: np.ndarray, eta_rev: np.ndarray) -> np.ndarray:
         """g = u e^{iSx} on the M-point grid."""
-        return np.fft.ifft((xi + eta[..., ::-1]) * self.w_scale, n=self.M, norm="forward")
+        np.add(xi, eta_rev, out=self._w)
+        np.multiply(self._w, self.w_scale, out=self._w)
+        return np.fft.ifft(self._head, norm="forward", out=self._g)
+
+    def _cubic(self, xi: np.ndarray, eta_rev: np.ndarray) -> np.ndarray:
+        """c_s(u^3) for |s| <= S, index s + S: the one cubic kernel."""
+        g = self._field(xi, eta_rev)
+        np.multiply(g, g, out=self._cube)
+        np.multiply(self._cube, g, out=self._cube)
+        np.fft.fft(self._cube, norm="forward", out=self._spectrum)
+        return self._band
 
     def cubic_coeffs(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """c_s(u^3) for |s| <= S, index s + S."""
-        g = self.shifted_field(xi, eta)
-        return np.fft.fft(g * g * g, norm="forward")[..., 2 * self.S: 4 * self.S + 1]
+        """c_s(u^3) for |s| <= S, index s + S, with eta in mode order."""
+        return self._cubic(xi, eta[..., ::-1]).copy()
 
-    def kick(self, xi: np.ndarray, eta: np.ndarray, coef: np.ndarray) -> None:
+    def kick(self, xi: np.ndarray, eta_rev: np.ndarray, coef: np.ndarray) -> None:
         """Exact nonlinear flow over time h, given coef = 1j * h * kick_scale."""
-        d = coef * self.cubic_coeffs(xi, eta)
+        d = self._cubic(xi, eta_rev)
+        np.multiply(coef, d, out=d)
         xi += d
-        eta -= d[..., ::-1]
+        eta_rev -= d
 
     def energy(self, xi: np.ndarray, eta: np.ndarray, nonlinear: bool) -> np.ndarray:
+        """H at states given in mode order."""
         quad = np.sum(self.lam * xi * eta, axis=-1)
         total = quad
         if nonlinear:
-            u = self.shifted_field(xi, eta) * self.unshift
+            u = self._field(xi, eta[..., ::-1]) * self.unshift
             total = total + 2.0 * math.pi * np.mean(u ** 4, axis=-1)
         return total.real
 
 
-def _rotation(spec: _Spectral, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    phase = np.exp(1j * spec.lam * dt)
-    return phase, phase.conj()
+def _rotation(phase: np.ndarray) -> np.ndarray:
+    """The linear flow on a (2, B, 2S+1) state, given phase = e^{i lambda h}:
+    xi turns by phase and eta by its conjugate.  lambda is even in s, so the
+    reversed eta row turns by the same conjugate."""
+    return np.stack((phase, phase.conj()))[:, None, :]
 
 
 def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
@@ -195,10 +228,13 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     data: actions, theta0, perturb_scale and seed, or the (xi0, eta0)
     pairs in starts.
 
-    The members advance as one (B, 2S+1) state, so each step makes one pair
-    of transforms for the whole batch; every member's trajectory is the one
-    integrate() gives for it alone.  BlowUpError reports the first member
-    that blows up.
+    The members advance as one (2, B, 2S+1) state: row 0 holds xi and row 1
+    holds eta reversed (eta_{-s} at index s + S), so one multiply applies
+    both rotations and each step makes one pair of transforms for the whole
+    batch, into buffers kept across steps.  eta is flipped back to mode
+    order only where a sample is stored.  Every member's trajectory is the
+    one integrate() gives for it alone.  BlowUpError reports the first
+    member that blows up.
     """
     cfg = cfgs[0]
 
@@ -213,14 +249,17 @@ def integrate_batch(cfgs: Sequence[SimConfig],
         starts = [initial_state(c) for c in cfgs]
     if len(starts) != len(cfgs):
         raise ValueError("give one (xi0, eta0) start per configuration")
-    spec = _Spectral(cfg)
-    xi = np.array([x for x, _ in starts], dtype=complex)
-    eta = np.array([e for _, e in starts], dtype=complex)
+    spec = _Spectral(cfg, (len(cfgs),))
+    width = 2 * cfg.cutoff + 1
+    state = np.empty((2, len(cfgs), width), dtype=complex)
+    state[0] = np.array([x for x, _ in starts], dtype=complex)
+    state[1] = np.array([e for _, e in starts], dtype=complex)[:, ::-1]
+    xi, eta_rev = state
     n_steps = cfg.n_steps
     n_samples = -(-n_steps // cfg.store_every) + 1
     tang_idx = np.array([a + cfg.cutoff for a in cfg.A.modes])
     times = np.empty(n_samples)
-    xis = np.empty((len(cfgs), n_samples, 2 * cfg.cutoff + 1), dtype=complex)
+    xis = np.empty((len(cfgs), n_samples, width), dtype=complex)
     etas = np.empty_like(xis)
     energies = np.empty((len(cfgs), n_samples))
     initial_norm = np.linalg.norm(xi, axis=-1)
@@ -228,12 +267,12 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     def store(i: int, t: float) -> None:
         times[i] = t
         xis[:, i] = xi
-        etas[:, i] = eta
-        energies[:, i] = spec.energy(xi, eta, cfg.nonlinearity_on)
+        etas[:, i] = eta_rev[:, ::-1]
+        energies[:, i] = spec.energy(xis[:, i], etas[:, i], cfg.nonlinearity_on)
 
     store(0, 0.0)
     dt = cfg.dt
-    rot, rot_c = _rotation(spec, dt)
+    rot = _rotation(np.exp(1j * spec.lam * dt))
     kick_full = 1j * dt * spec.kick_scale
     kick_half = 1j * (dt / 2) * spec.kick_scale
     sample = 1
@@ -242,18 +281,14 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     while step < n_steps:
         block = min(cfg.store_every, n_steps - step)
         if nonlinear:
-            spec.kick(xi, eta, kick_half)
+            spec.kick(xi, eta_rev, kick_half)
             for _ in range(block - 1):
-                xi *= rot
-                eta *= rot_c
-                spec.kick(xi, eta, kick_full)
-            xi *= rot
-            eta *= rot_c
-            spec.kick(xi, eta, kick_half)
+                state *= rot
+                spec.kick(xi, eta_rev, kick_full)
+            state *= rot
+            spec.kick(xi, eta_rev, kick_half)
         else:
-            phase = np.exp(1j * spec.lam * dt * block)
-            xi *= phase
-            eta *= phase.conj()
+            state *= _rotation(np.exp(1j * spec.lam * dt * block))
         step += block
         t = step * dt
         norm = np.linalg.norm(xi, axis=-1)

@@ -1,14 +1,19 @@
 """Byte-identity pins, by sha256: the normal form as of commit 676fcdb, when
-polynomials were dicts of Monomials, and the divisor and excluded-mass
-outputs as of commit b8b49d1, when the (a, b) tables were indexed by mode."""
+polynomials were dicts of Monomials, the divisor and excluded-mass outputs
+as of commit b8b49d1, when the (a, b) tables were indexed by mode, and the
+integrator's trajectories and the frequency-shift study as of commit
+8cc25ff, when the Strang step allocated its temporaries per step and held
+xi and eta as two arrays."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from wavekam.birkhoff import solve_homological
 from wavekam.cli import main
 from wavekam.polyham import build_p4
+from wavekam.simulate import SimConfig, integrate_batch
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 from test_scripts import run_script
 
@@ -71,3 +76,35 @@ def test_divisors_outputs(tmp_path, capsys, kappa, violations, excluded):
           "--smax", "6", "--grid", "2000", "--certify", "--output-dir", str(tmp_path)])
     assert sha256((tmp_path / "violations.csv").read_bytes()) == violations
     assert sha256((tmp_path / "excluded_mass.json").read_bytes()) == excluded
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--modes", "1", "--mass", "1.3", "--nus", "1e-3,2e-3,4e-3", "--cutoff", "12",
+      "--tmax", "420", "--dt", "0.02"],
+     "d298a97522967e9524dcc9fecf267043a660b1db8765e491abaf440ec5d84275"),
+    (["--modes", "0,1,5", "--mass", "1.2337", "--nus", "1e-3", "--cutoff", "5",
+      "--tmax", "580", "--dt", "6e-3"],
+     "930ae72f33f40b98949856f74d5c85efc1392c731470325a474b10a0d6dabc90"),
+], ids=["one_mode", "three_modes"])
+def test_frequency_shift_study_stdout(argv, digest):
+    assert sha256(run_script("frequency_shift_study", argv).encode()) == digest
+
+
+@pytest.mark.parametrize("nonlinear, digest", [
+    (True, "c810ef0efe350801e9287463c0fe81a426b2a3d87d392690dcd7812080b705a6"),
+    (False, "d949566e4c76ffafde7b68c4a6568b6909681fe2bf587fe00aae95383458a6b6"),
+], ids=["strang_split", "linear"])
+def test_integrate_batch_trajectories(nonlinear, digest):
+    # three members with distinct actions, phases and seeded normal-mode noise
+    A = AdmissibleSet([0, 1])
+    cfgs = [SimConfig(cutoff=8, mass=1.3, A=A, actions={0: I, 1: 2 * I},
+                      theta0={1: theta}, dt=1e-3, T=1.05, store_every=100,
+                      nonlinearity_on=nonlinear, perturb_scale=scale, seed=seed)
+            for I, theta, scale, seed in ((1e-3, 0.0, 1e-5, 1),
+                                          (4e-3, 0.7, 1e-4, 3),
+                                          (2e-2, -1.0, 1e-3, 5))]
+    h = hashlib.sha256()
+    for traj in integrate_batch(cfgs):
+        for name in ("xi", "eta", "energy"):
+            h.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+    assert h.hexdigest() == digest

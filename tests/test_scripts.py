@@ -93,15 +93,21 @@ def test_excluded_mass_csv_rows_are_the_scan():
     ("excluded_mass_study", ["--kappas", "nan", "--kmaxes", "1", "--grid", "200"]),
     ("excluded_mass_study", ["--kappas", "1e-3", "--kmaxes", "0", "--grid", "200"]),
     ("excluded_mass_study", ["--kappas", "1e-3", "--kmaxes", "1", "--grid", "0"]),
+    ("excluded_mass_study", ["--kappas", "1e-3,-1e-3", "--kmaxes", "1", "--grid", "200"]),
     ("frequency_shift_study", ["--nus=-1e-3", "--cutoff", "4", "--tmax", "420",
                                "--dt", "0.02"]),
     ("frequency_shift_study", ["--nus", "nan", "--cutoff", "4", "--tmax", "420",
                                "--dt", "0.02"]),
+    ("frequency_shift_study", ["--nus", "1e-3,2e-3", "--cutoff", "4", "--tmax", "100",
+                               "--dt", "0.02"]),
     ("melnikov_sweep", ["--kappas", "1e-3", "--kmax", "2", "--smax", "6",
                         "--rho-grid", "5"]),
 ], ids=["em-negative-kappa", "em-nan-kappa", "em-kmax-0", "em-grid-0",
-        "fs-negative-nu", "fs-nan-nu", "ms-kappa-above-nu"])
+        "em-second-kappa-negative", "fs-negative-nu", "fs-nan-nu", "fs-too-short",
+        "ms-kappa-above-nu"])
 def test_library_value_error_is_a_usage_error(name, argv):
-    code, _, err = call_script(name, argv)
+    # a failed run leaves stdout empty: no header, no rows before the failure
+    code, out, err = call_script(name, argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
