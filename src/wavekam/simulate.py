@@ -20,9 +20,10 @@ is a measured diagnostic, not a baked-in constraint.
 
 Inside the step a batch of B states is one (2, B, 2S+1) array: xi, and eta
 held reversed (eta_{-s} at index s + S).  lambda is even in s, so one
-multiply rotates both rows, and the kick adds one band to xi and subtracts
-the same band from the reversed eta.  Stored samples, BlowUpError snapshots
-and every function's inputs and outputs keep eta in mode order.
+multiply rotates both rows, and the kick adds one band times +coef to xi
+and times -coef to the reversed eta in one update.  Stored samples,
+BlowUpError snapshots and every function's inputs and outputs keep eta in
+mode order.
 """
 
 from __future__ import annotations
@@ -140,11 +141,11 @@ class _Spectral:
     States have shape rows + (2S+1,), so a batch of B is rows = (B,).
 
     The kernel takes eta reversed, eta_rev[s] = eta_{-s}, which is how the
-    integrator holds it: then W = (xi + eta_rev) w_scale and the kick adds
-    the same band to xi and subtracts it from eta_rev, with no reversed
-    view.  The zero-padded head, g, g^3 and the spectrum are allocated once
-    for the given rows, and every kernel result is a view into them, valid
-    until the next call.
+    integrator holds it: then W = (xi + eta_rev) w_scale, and the kick is
+    one (+coef, -coef) multiply of the band and one add to the whole state,
+    with no reversed view.  The zero-padded head, g, g^3, the spectrum and
+    the kick's update are allocated once for the given rows, and every
+    kernel result is a view into them, valid until the next call.
     """
 
     def __init__(self, cfg: SimConfig, rows: tuple = ()):
@@ -153,7 +154,9 @@ class _Spectral:
         self.lam = FrequencySystem(cfg.mass).lam(np.arange(-S, S + 1))
         self.M = 4 * S + 4
         self.kick_scale = 4.0 * np.sqrt(np.pi / self.lam)
-        self.w_scale = 1.0 / np.sqrt(2.0 * self.lam) / math.sqrt(2.0 * math.pi)
+        # complex, so that scaling W skips the cast a real factor would need
+        self.w_scale = (1.0 / np.sqrt(2.0 * self.lam) / math.sqrt(2.0 * math.pi)
+                        ).astype(complex)
         self.unshift = np.exp(-1j * S * (2.0 * np.pi / self.M) * np.arange(self.M))
         # work buffers for states of shape rows + (2S+1,)
         self._head = np.zeros(rows + (self.M,), dtype=complex)
@@ -162,31 +165,50 @@ class _Spectral:
         self._cube = np.empty_like(self._head)
         self._spectrum = np.empty_like(self._head)
         self._band = self._spectrum[..., 2 * S: 4 * S + 1]
+        self._update = np.empty((2,) + rows + (2 * S + 1,), dtype=complex)
+        # np.fft.ifft/fft(..., norm="forward") end in these gufuncs with the
+        # factors 1 and 1/M; calling them directly skips np.fft's per-call
+        # argument handling and gives the same bits
+        from numpy.fft import _pocketfft_umath
+        self._ifft = _pocketfft_umath.ifft
+        self._fft = _pocketfft_umath.fft
+        self._fft_factor = 1.0 / self.M
 
     def _field(self, xi: np.ndarray, eta_rev: np.ndarray) -> np.ndarray:
         """g = u e^{iSx} on the M-point grid."""
         np.add(xi, eta_rev, out=self._w)
         np.multiply(self._w, self.w_scale, out=self._w)
-        return np.fft.ifft(self._head, norm="forward", out=self._g)
+        return self._ifft(self._head, 1.0, out=self._g)
 
     def _cubic(self, xi: np.ndarray, eta_rev: np.ndarray) -> np.ndarray:
         """c_s(u^3) for |s| <= S, index s + S: the one cubic kernel."""
         g = self._field(xi, eta_rev)
         np.multiply(g, g, out=self._cube)
         np.multiply(self._cube, g, out=self._cube)
-        np.fft.fft(self._cube, norm="forward", out=self._spectrum)
+        self._fft(self._cube, self._fft_factor, out=self._spectrum)
         return self._band
 
     def cubic_coeffs(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """c_s(u^3) for |s| <= S, index s + S, with eta in mode order."""
         return self._cubic(xi, eta[..., ::-1]).copy()
 
-    def kick(self, xi: np.ndarray, eta_rev: np.ndarray, coef: np.ndarray) -> None:
-        """Exact nonlinear flow over time h, given coef = 1j * h * kick_scale."""
-        d = self._cubic(xi, eta_rev)
-        np.multiply(coef, d, out=d)
-        xi += d
-        eta_rev -= d
+    def kick_table(self, h: float) -> np.ndarray:
+        """(+coef, -coef) with coef = 1j * h * kick_scale, shaped to
+        broadcast over a state (xi, eta_rev) of shape (2,) + rows + (2S+1,)."""
+        coef = 1j * h * self.kick_scale
+        return np.stack((coef, -coef)).reshape((2,) + (1,) * (self._head.ndim - 1)
+                                               + (-1,))
+
+    def kick(self, state: np.ndarray, table: np.ndarray) -> None:
+        """Exact nonlinear flow over time h, given table = kick_table(h).
+
+        One update adds coef c_s(u^3) to xi and (-coef) c_s(u^3) to eta_rev.
+        Negation is exact and rounding is symmetric, so that equals
+        subtracting coef c_s(u^3) from eta_rev bit for bit, but for the sign
+        of a zero: where a part of the update is exactly zero and eta_rev
+        holds -0 there, the sum can give +0 where the difference gives -0."""
+        np.multiply(table, self._cubic(state[0], state[1]), out=self._update)
+        state += self._update
 
     def energy(self, xi: np.ndarray, eta: np.ndarray, nonlinear: bool) -> np.ndarray:
         """H at states given in mode order."""
@@ -211,7 +233,7 @@ def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
     steps, and the final state when the last block is shorter.
 
     Aborts with BlowUpError (carrying the last good snapshot) if the state
-    norm grows past 10x its initial value.
+    norm grows past 10x its initial value or turns NaN.
     """
     starts = None if xi0 is None or eta0 is None else [(xi0, eta0)]
     return integrate_batch([cfg], starts)[0]
@@ -236,6 +258,8 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     one integrate() gives for it alone.  BlowUpError reports the first
     member that blows up.
     """
+    if not cfgs:
+        raise ValueError("give at least one configuration")
     cfg = cfgs[0]
 
     def shared(c: SimConfig) -> tuple:
@@ -273,32 +297,36 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     store(0, 0.0)
     dt = cfg.dt
     rot = _rotation(np.exp(1j * spec.lam * dt))
-    kick_full = 1j * dt * spec.kick_scale
-    kick_half = 1j * (dt / 2) * spec.kick_scale
+    kick = spec.kick
+    kick_full = spec.kick_table(dt)
+    kick_half = spec.kick_table(dt / 2)
     sample = 1
     step = 0
     nonlinear = cfg.nonlinearity_on
-    while step < n_steps:
-        block = min(cfg.store_every, n_steps - step)
-        if nonlinear:
-            spec.kick(xi, eta_rev, kick_half)
-            for _ in range(block - 1):
+    # an overflow or NaN in a step surfaces as BlowUpError at the block's end
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < n_steps:
+            block = min(cfg.store_every, n_steps - step)
+            if nonlinear:
+                kick(state, kick_half)
+                for _ in range(block - 1):
+                    state *= rot
+                    kick(state, kick_full)
                 state *= rot
-                spec.kick(xi, eta_rev, kick_full)
-            state *= rot
-            spec.kick(xi, eta_rev, kick_half)
-        else:
-            state *= _rotation(np.exp(1j * spec.lam * dt * block))
-        step += block
-        t = step * dt
-        norm = np.linalg.norm(xi, axis=-1)
-        over = np.flatnonzero(norm > 10.0 * np.maximum(initial_norm, 1e-300))
-        if over.size:
-            b = over[0]
-            raise BlowUpError(t, float(norm[b]), float(initial_norm[b]),
-                              (xis[b, sample - 1].copy(), etas[b, sample - 1].copy()))
-        store(sample, t)
-        sample += 1
+                kick(state, kick_half)
+            else:
+                state *= _rotation(np.exp(1j * spec.lam * dt * block))
+            step += block
+            t = step * dt
+            norm = np.linalg.norm(xi, axis=-1)
+            # a NaN norm compares False, so test for "not within the bound"
+            over = np.flatnonzero(~(norm <= 10.0 * np.maximum(initial_norm, 1e-300)))
+            if over.size:
+                b = over[0]
+                raise BlowUpError(t, float(norm[b]), float(initial_norm[b]),
+                                  (xis[b, sample - 1].copy(), etas[b, sample - 1].copy()))
+            store(sample, t)
+            sample += 1
     actions = np.abs(xis[:, :, tang_idx]) ** 2
     phases = np.angle(xis[:, :, tang_idx])
     return [TorusTrajectory(c, times.copy(), xis[b], etas[b], energies[b],
@@ -388,7 +416,8 @@ def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet) -> dict[int, fl
         design = np.vstack([times, np.ones_like(times)]).T
         (slope, _), res, *_ = np.linalg.lstsq(design, phase, rcond=None)
         rms = math.sqrt(float(res[0]) / len(times)) if res.size else 0.0
-        if rms > MAX_PHASE_RESIDUAL:
+        # a NaN phase gives a NaN fit, which no comparison would refuse
+        if not (rms <= MAX_PHASE_RESIDUAL and math.isfinite(slope)):
             raise FrequencyExtractionError(
                 f"phase fit residual {rms:.3f} rad RMS exceeds {MAX_PHASE_RESIDUAL}")
         out[a] = abs(float(slope))

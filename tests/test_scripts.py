@@ -100,14 +100,29 @@ def test_excluded_mass_csv_rows_are_the_scan():
                                "--dt", "0.02"]),
     ("frequency_shift_study", ["--nus", "1e-3,2e-3", "--cutoff", "4", "--tmax", "100",
                                "--dt", "0.02"]),
+    ("frequency_shift_study", ["--modes", "1", "--mass", "1.3", "--nus", "1e4",
+                               "--cutoff", "8", "--tmax", "420", "--dt", "0.02"]),
     ("melnikov_sweep", ["--kappas", "1e-3", "--kmax", "2", "--smax", "6",
                         "--rho-grid", "5"]),
 ], ids=["em-negative-kappa", "em-nan-kappa", "em-kmax-0", "em-grid-0",
         "em-second-kappa-negative", "fs-negative-nu", "fs-nan-nu", "fs-too-short",
-        "ms-kappa-above-nu"])
+        "fs-nan-blowup", "ms-kappa-above-nu"])
 def test_library_value_error_is_a_usage_error(name, argv):
     # a failed run leaves stdout empty: no header, no rows before the failure
     code, out, err = call_script(name, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kappas", ["1e-3", "1e-5,1e-3", "-1e-5", "nan"],
+                         ids=["above-nu", "second-above-nu", "negative", "nan"])
+def test_melnikov_sweep_checks_kappa_before_the_normal_form(monkeypatch, kappas):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_homological ran before kappa was checked")
+
+    monkeypatch.setattr("wavekam.birkhoff.solve_homological", refuse)
+    code, out, err = call_script("melnikov_sweep", ["--nu", "1e-4", f"--kappas={kappas}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need 0 < kappa < nu")

@@ -131,6 +131,32 @@ class TestSpectralKernel:
         assert spec.energy(xi, eta, True) == pytest.approx(energy.real, rel=1e-13,
                                                            abs=1e-13 * abs(quartic))
 
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["rows-none", "rows-3"])
+    @pytest.mark.parametrize("cutoff", [1, 5, 12, 32])
+    def test_kernel_bitwise_equals_np_fft(self, cutoff, rows):
+        # the kernel calls the pocketfft gufuncs behind np.fft directly; a
+        # numpy release that changes them, or their factors, fails here
+        rng = np.random.default_rng(cutoff)
+        shape = rows + (2 * cutoff + 1,)
+        xi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        eta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = _Spectral(base_config(cutoff=cutoff), rows)
+        head = np.zeros(rows + (4 * cutoff + 4,), dtype=complex)
+        head[..., :2 * cutoff + 1] = (xi + eta[..., ::-1]) * spec.w_scale
+        g = np.fft.ifft(head, norm="forward")
+        cubic = np.fft.fft(g * g * g, norm="forward")[..., 2 * cutoff: 4 * cutoff + 1]
+        assert spec.cubic_coeffs(xi, eta).tobytes() == cubic.tobytes()
+        u = g * spec.unshift
+        energy = (np.sum(spec.lam * xi * eta, axis=-1)
+                  + 2.0 * math.pi * np.mean(u ** 4, axis=-1)).real
+        assert spec.energy(xi, eta, True).tobytes() == energy.tobytes()
+        # one fused update equals adding to xi and subtracting from eta_rev
+        coef = 1j * 0.01 * spec.kick_scale
+        state = np.stack((xi, eta[..., ::-1]))
+        spec.kick(state, spec.kick_table(0.01))
+        assert state[0].tobytes() == (xi + coef * cubic).tobytes()
+        assert state[1].tobytes() == (eta[..., ::-1] - coef * cubic).tobytes()
+
 
 class TestIntegrator:
     def test_linear_run_matches_exact_rotation(self):
@@ -199,6 +225,16 @@ class TestIntegrator:
         assert err.value.norm > 10 * err.value.initial_norm
         assert err.value.last_state is not None
 
+    def test_nan_blowup_detected(self):
+        # the state overflows to NaN within the first block, and a NaN norm
+        # is not greater than any bound
+        cfg = SimConfig(cutoff=8, mass=1.3, A=A1, actions={1: 1e4}, dt=0.02, T=20.0)
+        with pytest.raises(BlowUpError) as err:
+            integrate(cfg)
+        assert math.isnan(err.value.norm)
+        assert err.value.t == pytest.approx(cfg.store_every * cfg.dt)
+        assert np.all(np.isfinite(err.value.last_state[0]))
+
     def test_blowup_reports_first_failing_member(self):
         stable = SimConfig(cutoff=8, mass=1.3, A=A1, actions={1: 1e-3}, dt=0.06,
                            T=50.0, nonlinearity_on=True, store_every=5)
@@ -237,6 +273,10 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             integrate_batch([cfg, cfg], [(xi0, eta0)])
 
+    def test_batch_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one configuration"):
+            integrate_batch([])
+
     def test_batch_rejects_mismatched_configs(self):
         with pytest.raises(ValueError, match="differ only in"):
             integrate_batch([base_config(), base_config(dt=5e-4)])
@@ -273,6 +313,14 @@ class TestDiagnostics:
                           store_every=110)
         with pytest.raises(FrequencyExtractionError, match="aliases"):
             extract_frequencies(integrate(cfg), A1)
+
+    def test_nan_phase_raises(self):
+        cfg = base_config(cutoff=4, nonlinearity_on=False, dt=0.02, T=450.0,
+                          store_every=100)
+        traj = integrate(cfg)
+        traj.phases[len(traj.times) // 2, 0] = np.nan
+        with pytest.raises(FrequencyExtractionError, match="residual"):
+            extract_frequencies(traj, A1)
 
     @pytest.mark.slow
     def test_doubling_action_doubles_shift(self):
