@@ -6,7 +6,7 @@ shape."""
 import argparse
 import sys
 
-from wavekam.smalldiv import excluded_mass_scan
+from wavekam.smalldiv import excluded_mass_sweep
 from wavekam.spectrum import AdmissibleSet
 
 
@@ -21,13 +21,12 @@ def main() -> int:
 
     try:
         A = AdmissibleSet(int(x) for x in args.modes.split(","))
-        rows = []
-        for kappa in (float(x) for x in args.kappas.split(",")):
-            for N in (int(x) for x in args.kmaxes.split(",")):
-                est = excluded_mass_scan(A, kappa, N, args.smax, grid=args.grid)
-                rows.append(f"{kappa!r},{N},{est.sampled_measure!r},"
-                            f"{est.analytic_bound!r},{est.parameters['tau_d3']!r},"
-                            f"{est.parameters['iota_d3']!r}")
+        kappas = [float(x) for x in args.kappas.split(",")]
+        Ns = [int(x) for x in args.kmaxes.split(",")]
+        rows = [f"{est.parameters['kappa']!r},{est.parameters['N']},"
+                f"{est.sampled_measure!r},{est.analytic_bound!r},"
+                f"{est.parameters['tau_d3']!r},{est.parameters['iota_d3']!r}"
+                for est in excluded_mass_sweep(A, kappas, Ns, args.smax, grid=args.grid)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,10 +27,13 @@ def main() -> int:
     try:
         A = AdmissibleSet(int(x) for x in args.modes.split(","))
         kappas = [float(x) for x in args.kappas.split(",")]
-        # melnikov_scan's own check, made before the normal form is built
+        # melnikov_scan's own check and `wavekam kamcheck`'s, made before the
+        # normal form is built
         for kappa in kappas:
             if not 0.0 < kappa < args.nu:
                 raise ValueError(f"need 0 < kappa < nu = {args.nu!r}, got {kappa!r}")
+        if not A.normal_modes(args.smax):
+            raise ValueError(f"--smax {args.smax} leaves no normal mode to check")
         fs = FrequencySystem(args.mass)
         nf = solve_homological(build_p4(max(A.n_bound + 2, 4), fs), fs, A)
         rnf = rescale(nf, fs, A, args.nu, np.full(A.n, 1.5))

@@ -14,7 +14,9 @@ k = -e_s with |a| = |s|, D2 at k = -e_s - e_s' with (|s|, |s'|) in either
 order, D3 at k = -e_s + e_s' with (|s|, |s'|).  Every other k is
 non-resonant.  `DivisorRange` owns the (k, a, b) range and the (a, b) tables
 (weights, |a| != |b|, the resonant entries of each (kind, k)) over the |a|
-classes that the scans here and in kamcheck walk.
+classes that the scans here and in kamcheck walk.  `excluded_mass_sweep`
+samples the masses at which some lower bound fails for a whole kappa x N
+sweep in one walk over the range; `excluded_mass_scan` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -249,10 +251,11 @@ class DivisorRange:
             return np.ones(self.weights[kind].shape, dtype=bool)
         return self.distinct if kind == "D3" else np.zeros_like(self.weights[kind], dtype=bool)
 
-    def bound(self, kind: str, k: tuple[int, ...], kappa: float) -> np.ndarray:
+    def bound(self, kind: str, k: tuple[int, ...], kappa) -> np.ndarray:
         """The lower bound kappa * weight over the kind's table at k, 0 at the
-        entries that are out of range or resonant: no |value| < 0 holds."""
-        required = kappa * self.weights[kind]
+        entries that are out of range or resonant: no |value| < 0 holds.  A
+        1-D array of kappas gives one such table per kappa, stacked."""
+        required = np.asarray(kappa)[..., None, None] * self.weights[kind]
         keep = self.rows(kind, k)
         resonant = self.resonant(kind, k)
         if resonant is not None:
@@ -274,12 +277,19 @@ class DivisorRange:
         return a, (int(self.normals[j]) if kind in ("D2", "D3") else None)
 
 
+def _check_scan(kappas: Iterable[float], Ns: Iterable[int]) -> None:
+    """Refuse a kappa that is not positive and finite, or an N below 1."""
+    for kappa in kappas:
+        if not 0 < kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    for N in Ns:
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+
+
 def _scan_cutoff(A: AdmissibleSet, kappa: float, N: int, S: Optional[int]) -> int:
     """A scan's mode cutoff S, or its default, once kappa and N are checked."""
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_scan([kappa], [N])
     return default_mode_cutoff(A, N) if S is None else S
 
 
@@ -345,41 +355,85 @@ def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: in
 
 def excluded_mass_scan(A: AdmissibleSet, kappa: float, N: int,
                        S: Optional[int] = None, grid: int = 10 ** 4) -> MeasureEstimate:
-    """Fraction of grid masses in [1,2] at which some lower bound fails.
+    """Fraction of grid masses in [1,2] at which some lower bound over
+    DivisorRange(A, N, S) fails: excluded_mass_sweep's one-cell case, with S
+    defaulting to default_mode_cutoff(A, N)."""
+    return excluded_mass_sweep(A, [kappa], [N], _scan_cutoff(A, kappa, N, S), grid)[0]
 
-    Walks DivisorRange(A, N, S) one array pass per (k, a-class) over the
-    b-classes and a block of masses (D0 once per k, D1 once per k and block);
-    a resonant or out-of-range entry has bound 0 (DivisorRange.bound), which
-    no value fails.  The excluded set is the union of the passes' violation
-    masks.
+
+def excluded_mass_sweep(A: AdmissibleSet, kappas: Iterable[float], Ns: Iterable[int],
+                        S: int, grid: int = 10 ** 4) -> list[MeasureEstimate]:
+    """excluded_mass_scan of every (kappa, N) cell, kappa-major in input order
+    with duplicates kept, from one walk over DivisorRange(A, max(Ns), S).
+
+    Each k is one array pass per a-class over the b-classes and a block of
+    masses (D0 once per k, D1 once per k and block), and its hits go into
+    every N >= |k|_1 (k = 0 into all).  A resonant or out-of-range entry has
+    bound 0 (DivisorRange.bound), which no value fails.  Each table of
+    |values| is compared once with the entrywise largest bound over the
+    kappas, and only the masses with an entry under it once per kappa
+    (_mark).  Every input is checked before any table is built.
     """
-    S = _scan_cutoff(A, kappa, N, S)
+    kappas, Ns = list(kappas), list(Ns)
+    if not kappas or not Ns:
+        raise ValueError("need at least one kappa and one N")
+    _check_scan(kappas, Ns)
+    if S < 0:
+        raise ValueError(f"S must be >= 0, got {S}")
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    rng = DivisorRange(A, N, S)
+    rng = DivisorRange(A, max(Ns), S)
     lam_grid = FrequencySystem(_mass_grid(grid)).lam
     omega_grid = lam_grid(np.array(A.modes)[:, None])
     lam = lam_grid(rng.uabs[:, None])
-    excluded = np.zeros(grid, dtype=bool)
+    kappa_stack = np.array(kappas, dtype=float)
+    # hits[l, j]: the masses that some divisor with |k|_1 = l excludes at kappas[j]
+    hits = np.zeros((max(Ns) + 1, len(kappas), grid), dtype=bool)
     step = max(1, GRID_BLOCK // max(1, len(lam)))
     for k in [*rng.ks, rng.zero]:
+        level = hits[sum(map(abs, k))]
         dot = np.tensordot(np.array(k, dtype=float), omega_grid, axes=1)
-        b0, b1, b2, b3 = (rng.bound(kind, k, kappa) for kind in KINDS)
-        excluded |= np.abs(dot) < b0[0, 0]
+        b0, b1, b2, b3 = (rng.bound(kind, k, kappa_stack) for kind in KINDS)
+        _mark(level, np.abs(dot)[None, :], b0[:, 0])
         for lo in range(0, grid, step):
             cut = slice(lo, lo + step)
-            lam_c, hit = lam[:, cut], excluded[cut]
+            lam_c, hit = lam[:, cut], level[:, cut]
             d1 = dot[cut] + lam_c
-            hit |= np.any(np.abs(d1) < b1, axis=0)
+            values = np.abs(d1)     # then each D2 and D3 table in turn, in place
+            _mark(hit, values, b1[..., 0])
             for u, row in enumerate(d1):
-                hit |= np.any(np.abs(row + lam_c) < b2[u, :, None], axis=0)
-                hit |= np.any(np.abs(row - lam_c) < b3[u, :, None], axis=0)
+                np.abs(np.add(row, lam_c, out=values), out=values)
+                _mark(hit, values, b2[:, u])
+                np.abs(np.subtract(row, lam_c, out=values), out=values)
+                _mark(hit, values, b3[:, u])
+    excluded = np.logical_or.accumulate(hits, axis=0)
+    return [_excluded_estimate(A, kappa, N, S, excluded[N, j])
+            for j, kappa in enumerate(kappas) for N in Ns]
+
+
+def _mark(hit: np.ndarray, values: np.ndarray, bounds: np.ndarray) -> None:
+    """hit[j, m] |= values[r, m] < bounds[j, r] for some r.  values is compared
+    once with the largest bound over j, and only its columns m with an entry
+    under that are compared per j: exact, since |v| < b_j implies
+    |v| < max_j b_j."""
+    under = values < bounds.max(axis=0)[:, None]
+    if len(bounds) == 1:
+        hit[0] |= under.any(axis=0)
+        return
+    # the columns are distinct, so the buffered |= drops no index
+    m = np.flatnonzero(under.any(axis=0))
+    if m.size:
+        hit[:, m] |= (values[:, m] < bounds[:, :, None]).any(axis=1)
+
+
+def _excluded_estimate(A: AdmissibleSet, kappa: float, N: int, S: int,
+                       excluded: np.ndarray) -> MeasureEstimate:
     meta = scan_metadata(A, kappa, N, S)
     tau, iota = meta["tau_d3"], meta["iota_d3"]
     return MeasureEstimate(
         analytic_bound=float(kappa ** tau * N ** iota),
         sampled_measure=float(np.mean(excluded)),
-        grid_points=grid,
+        grid_points=len(excluded),
         boundary_cells=_count_boundary_cells(excluded),
         parameters={"kappa": kappa, "N": N, **meta,
                     "bound_shape": "C * kappa^tau * N^iota (per-kind exponents in metadata)"},

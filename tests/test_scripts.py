@@ -88,6 +88,20 @@ def test_excluded_mass_csv_rows_are_the_scan():
         assert by_n == sorted(by_n)
 
 
+def test_excluded_mass_csv_keeps_duplicate_rows_in_order():
+    kappas, kmaxes = ["0.01", "0.0001", "0.01"], ["2", "1", "2"]
+    text = run_script("excluded_mass_study", [
+        "--modes", "1", "--kappas", ",".join(kappas), "--kmaxes", ",".join(kmaxes),
+        "--smax", "6", "--grid", "500"])
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [(r["kappa"], r["kmax"]) for r in rows] == [
+        (kappa, N) for kappa in kappas for N in kmaxes]
+    A = AdmissibleSet([1])
+    for r in rows:
+        est = excluded_mass_scan(A, float(r["kappa"]), int(r["kmax"]), 6, grid=500)
+        assert float(r["excluded_fraction"]) == est.sampled_measure
+
+
 @pytest.mark.parametrize("name, argv", [
     ("excluded_mass_study", ["--kappas=-1e-3", "--kmaxes", "1", "--grid", "200"]),
     ("excluded_mass_study", ["--kappas", "nan", "--kmaxes", "1", "--grid", "200"]),
@@ -104,15 +118,32 @@ def test_excluded_mass_csv_rows_are_the_scan():
                                "--cutoff", "8", "--tmax", "420", "--dt", "0.02"]),
     ("melnikov_sweep", ["--kappas", "1e-3", "--kmax", "2", "--smax", "6",
                         "--rho-grid", "5"]),
+    ("excluded_mass_study", ["--kappas", "1e-3", "--kmaxes", "1", "--smax", "-1",
+                             "--grid", "200"]),
+    ("excluded_mass_study", ["--kappas", "1e-3", "--kmaxes", "1,0", "--grid", "200"]),
+    ("melnikov_sweep", ["--kappas", "1e-5", "--kmax", "2", "--smax", "-2",
+                        "--rho-grid", "5"]),
 ], ids=["em-negative-kappa", "em-nan-kappa", "em-kmax-0", "em-grid-0",
         "em-second-kappa-negative", "fs-negative-nu", "fs-nan-nu", "fs-too-short",
-        "fs-nan-blowup", "ms-kappa-above-nu"])
+        "fs-nan-blowup", "ms-kappa-above-nu", "em-negative-smax", "em-second-kmax-0",
+        "ms-negative-smax"])
 def test_library_value_error_is_a_usage_error(name, argv):
     # a failed run leaves stdout empty: no header, no rows before the failure
     code, out, err = call_script(name, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_melnikov_sweep_checks_smax_before_the_normal_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_homological ran before --smax was checked")
+
+    monkeypatch.setattr("wavekam.birkhoff.solve_homological", refuse)
+    code, out, err = call_script("melnikov_sweep", ["--modes", "0", "--smax", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --smax 0 leaves no normal mode to check\n"
 
 
 @pytest.mark.parametrize("kappas", ["1e-3", "1e-5,1e-3", "-1e-5", "nan"],

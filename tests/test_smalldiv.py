@@ -14,6 +14,7 @@ from wavekam.smalldiv import (
     evaluate_divisor,
     evaluate_divisor_interval,
     excluded_mass_scan,
+    excluded_mass_sweep,
     scan_lower_bounds,
 )
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
@@ -307,6 +308,22 @@ def scan_cases(draw):
             draw(st.integers(1, 3)), draw(st.integers(A.n_bound, 8)))
 
 
+@st.composite
+def sweep_cases(draw):
+    """A sweep with unsorted kappa and N lists that both hold duplicates; one
+    kappa in [0.02, 0.2] makes the screens dense."""
+    modes = draw(st.sets(st.integers(-4, 4), min_size=1, max_size=3).filter(
+        lambda m: all(-j not in m for j in m if j != 0)))
+    kappas = [draw(st.floats(0.02, 0.2)), *draw(st.lists(
+        st.floats(-7.0, math.log10(0.2)).map(lambda e: 10.0 ** e), max_size=2))]
+    kappas = draw(st.permutations(kappas + draw(st.lists(st.sampled_from(kappas),
+                                                         min_size=1, max_size=2))))
+    Ns = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    Ns = draw(st.permutations(Ns + draw(st.lists(st.sampled_from(Ns), min_size=1,
+                                                 max_size=2))))
+    return AdmissibleSet(modes), kappas, Ns, draw(st.integers(0, 6))
+
+
 class TestScanMatchesPerQueryReference:
     @settings(max_examples=25, deadline=None)
     @given(scan_cases())
@@ -329,6 +346,21 @@ class TestScanMatchesPerQueryReference:
         assert est.sampled_measure == float(np.mean(excluded))
         assert est.boundary_cells == int(np.count_nonzero(excluded[1:] != excluded[:-1]))
 
+    @settings(max_examples=15, deadline=None)
+    @given(sweep_cases())
+    def test_excluded_mass_sweep_matches_grid_and_scan(self, case):
+        A, kappas, Ns, S = case
+        grid = 201
+        cells = excluded_mass_sweep(A, kappas, Ns, S, grid=grid)
+        assert len(cells) == len(kappas) * len(Ns)
+        reference = {}
+        for est, (kappa, N) in zip(cells, itertools.product(kappas, Ns)):
+            if (kappa, N) not in reference:
+                reference[kappa, N] = reference_excluded(A, kappa, N, S, grid)
+            excluded = reference[kappa, N]
+            assert est.sampled_measure == float(np.mean(excluded))
+            assert est.boundary_cells == int(np.count_nonzero(excluded[1:] != excluded[:-1]))
+            assert est == excluded_mass_scan(A, kappa, N, S, grid=grid)
 
     def test_excluded_mass_scan_counts_d3_at_k0(self):
         # A = {1}, S = N = 1: at these kappa only D3 at k = 0 excludes masses,
@@ -363,10 +395,30 @@ class TestExcludedMassScan:
         (-1e-3, 2, 6, 100, "kappa must be positive"),
         (1e-3, 0, 6, 100, "N must be >= 1"),
         (1e-3, 2, 6, 0, "grid must be >= 1"),
+        (1e-3, 2, -1, 100, "S must be >= 0"),
+        pytest.param([], [2], 6, 100, "need at least one kappa and one N", id="no-kappa"),
+        pytest.param([1e-3], [], 6, 100, "need at least one kappa and one N", id="no-N"),
+        pytest.param([1e-3, 1e-2, math.nan], [2], 6, 100, "kappa must be positive",
+                     id="third-kappa-nan"),
+        pytest.param([1e-3, -1e-2], [1, 2], 6, 100, "kappa must be positive",
+                     id="second-kappa-negative"),
+        pytest.param([1e-3], [1, 2, 0], 6, 100, "N must be >= 1", id="third-N-0"),
+        pytest.param([1e-3, 1e-2], [1, 2], 6, 0, "grid must be >= 1", id="sweep-grid-0"),
+        pytest.param([1e-3, 1e-2], [1, 2], -1, 100, "S must be >= 0", id="sweep-S-negative"),
     ])
-    def test_validation(self, kappa, N, S, grid, message):
+    def test_validation(self, monkeypatch, kappa, N, S, grid, message):
+        # a scalar kappa and N check the scan and the one-cell sweep, lists the sweep
+        def refuse(*args):
+            raise AssertionError("a divisor table was built before the inputs were checked")
+
+        monkeypatch.setattr("wavekam.smalldiv.DivisorRange", refuse)
+        A = AdmissibleSet([5])
+        if not isinstance(kappa, list):
+            with pytest.raises(ValueError, match=message):
+                excluded_mass_scan(A, kappa, N, S, grid=grid)
+            kappa, N = [kappa], [N]
         with pytest.raises(ValueError, match=message):
-            excluded_mass_scan(AdmissibleSet([5]), kappa, N, S, grid=grid)
+            excluded_mass_sweep(A, kappa, N, S, grid=grid)
 
     def test_metadata_exponents(self):
         A = AdmissibleSet([0, 2])
