@@ -370,9 +370,8 @@ def excluded_mass_sweep(A: AdmissibleSet, kappas: Iterable[float], Ns: Iterable[
     masses (D0 once per k, D1 once per k and block), and its hits go into
     every N >= |k|_1 (k = 0 into all).  A resonant or out-of-range entry has
     bound 0 (DivisorRange.bound), which no value fails.  Each table of
-    |values| is compared once with the entrywise largest bound over the
-    kappas, and only the masses with an entry under it once per kappa
-    (_mark).  Every input is checked before any table is built.
+    |values| is compared with the bounds of every kappa at once, stacked
+    along a leading axis.  Every input is checked before any table is built.
     """
     kappas, Ns = list(kappas), list(Ns)
     if not kappas or not Ns:
@@ -394,36 +393,22 @@ def excluded_mass_sweep(A: AdmissibleSet, kappas: Iterable[float], Ns: Iterable[
         level = hits[sum(map(abs, k))]
         dot = np.tensordot(np.array(k, dtype=float), omega_grid, axes=1)
         b0, b1, b2, b3 = (rng.bound(kind, k, kappa_stack) for kind in KINDS)
-        _mark(level, np.abs(dot)[None, :], b0[:, 0])
+        b2, b3 = b2[..., None], b3[..., None]   # [:, u]: a-class u's bounds, (kappa, b, 1)
+        level |= np.abs(dot) < b0[:, 0]
         for lo in range(0, grid, step):
             cut = slice(lo, lo + step)
             lam_c, hit = lam[:, cut], level[:, cut]
             d1 = dot[cut] + lam_c
             values = np.abs(d1)     # then each D2 and D3 table in turn, in place
-            _mark(hit, values, b1[..., 0])
+            hit |= (values < b1).any(axis=1)
             for u, row in enumerate(d1):
                 np.abs(np.add(row, lam_c, out=values), out=values)
-                _mark(hit, values, b2[:, u])
+                hit |= (values < b2[:, u]).any(axis=1)
                 np.abs(np.subtract(row, lam_c, out=values), out=values)
-                _mark(hit, values, b3[:, u])
+                hit |= (values < b3[:, u]).any(axis=1)
     excluded = np.logical_or.accumulate(hits, axis=0)
     return [_excluded_estimate(A, kappa, N, S, excluded[N, j])
             for j, kappa in enumerate(kappas) for N in Ns]
-
-
-def _mark(hit: np.ndarray, values: np.ndarray, bounds: np.ndarray) -> None:
-    """hit[j, m] |= values[r, m] < bounds[j, r] for some r.  values is compared
-    once with the largest bound over j, and only its columns m with an entry
-    under that are compared per j: exact, since |v| < b_j implies
-    |v| < max_j b_j."""
-    under = values < bounds.max(axis=0)[:, None]
-    if len(bounds) == 1:
-        hit[0] |= under.any(axis=0)
-        return
-    # the columns are distinct, so the buffered |= drops no index
-    m = np.flatnonzero(under.any(axis=0))
-    if m.size:
-        hit[:, m] |= (values[:, m] < bounds[:, :, None]).any(axis=1)
 
 
 def _excluded_estimate(A: AdmissibleSet, kappa: float, N: int, S: int,

@@ -311,7 +311,7 @@ def scan_cases(draw):
 @st.composite
 def sweep_cases(draw):
     """A sweep with unsorted kappa and N lists that both hold duplicates; one
-    kappa in [0.02, 0.2] makes the screens dense."""
+    kappa in [0.02, 0.2] makes the hits dense."""
     modes = draw(st.sets(st.integers(-4, 4), min_size=1, max_size=3).filter(
         lambda m: all(-j not in m for j in m if j != 0)))
     kappas = [draw(st.floats(0.02, 0.2)), *draw(st.lists(
