@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from wavekam.birkhoff import rescale, solve_homological
-from wavekam.kamcheck import melnikov_scan
+from wavekam.kamcheck import melnikov_sweep
 from wavekam.polyham import build_p4
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 
@@ -27,7 +27,7 @@ def main() -> int:
     try:
         A = AdmissibleSet(int(x) for x in args.modes.split(","))
         kappas = [float(x) for x in args.kappas.split(",")]
-        # melnikov_scan's own check and `wavekam kamcheck`'s, made before the
+        # melnikov_sweep's own check and `wavekam kamcheck`'s, made before the
         # normal form is built
         for kappa in kappas:
             if not 0.0 < kappa < args.nu:
@@ -38,13 +38,13 @@ def main() -> int:
         nf = solve_homological(build_p4(max(A.n_bound + 2, 4), fs), fs, A)
         rnf = rescale(nf, fs, A, args.nu, np.full(A.n, 1.5))
 
-        rows = []
-        for kappa in kappas:
-            for kmax in (args.kmax, 2 * args.kmax):
-                rep = melnikov_scan(rnf, kappa, kmax, args.smax,
-                                    points_per_dim=args.rho_grid)
-                rows.append(f"{kappa!r},{kmax},{rep.accepted_fraction!r},"
-                            f"{rep.checked_count}")
+        kmaxes = (args.kmax, 2 * args.kmax)
+        # one sweep over every kappa per kmax; the rows are kappa-major
+        sweeps = [melnikov_sweep(rnf, kappas, kmax, args.smax, points_per_dim=args.rho_grid)
+                  for kmax in kmaxes]
+        rows = [f"{kappa!r},{kmax},{rep.accepted_fraction!r},{rep.checked_count}"
+                for kappa, reps in zip(kappas, zip(*sweeps))
+                for kmax, rep in zip(kmaxes, reps)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

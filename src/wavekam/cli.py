@@ -32,7 +32,7 @@ from .birkhoff import (
     verify_zminus_vanishing,
     z4_action_coefficient_table,
 )
-from .kamcheck import check_a1, check_transversality, melnikov_scan
+from .kamcheck import check_a1, check_transversality, melnikov_sweep
 from .polyham import build_p4
 from .simulate import (
     BlowUpError,
@@ -273,15 +273,16 @@ def cmd_kamcheck(args: argparse.Namespace) -> int:
         reports.append(check_transversality(rnf, args.kmax, args.smax,
                                             points_per_dim=args.rho_grid,
                                             force=args.force))
-    if which in ("a3", "all"):
-        reports.append(melnikov_scan(rnf, args.kappa, args.kmax, args.smax,
-                                     points_per_dim=args.rho_grid,
-                                     force=args.force))
-    if args.kappa_sweep:
+    # --kappa (for A3) and every --kappa-sweep value in one pass over the rho table
+    a3_kappas = [args.kappa] if which in ("a3", "all") else []
+    sweep = args.kappa_sweep or []
+    a3 = (melnikov_sweep(rnf, a3_kappas + sweep, args.kmax, args.smax,
+                         points_per_dim=args.rho_grid, force=args.force)
+          if a3_kappas or sweep else [])
+    reports += a3[:len(a3_kappas)]
+    if sweep:
         rows = ["kappa,accepted_fraction"]
-        for kappa in args.kappa_sweep:
-            rep = melnikov_scan(rnf, kappa, args.kmax, args.smax,
-                                points_per_dim=args.rho_grid, force=args.force)
+        for kappa, rep in zip(sweep, a3[len(a3_kappas):]):
             rows.append(f"{kappa!r},{rep.accepted_fraction!r}")
         sweep_text = "\n".join(rows) + "\n"
         if args.output_dir:

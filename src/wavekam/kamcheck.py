@@ -16,11 +16,13 @@ at Omega with the margin delta_0 |k|_1 added to the requirement.
 The three scans read one per-rho table, built a block of rho rows at a time
 by _rho_rows: Lambda on the |a| classes of DivisorRange and the dots
 k . Omega(rho); the (a, b) tables are DivisorRange's, on the same classes.
-A2 and A3 settle each rho point on its sorted dots, so most (k, rho) cells
-need no table pass of their own: the A3 screen is exact, the A2 screen
-conservative with a rounding slack (SCREEN_SLACK), and only the cells it
-flags run the exact per-cell test.  Reports, counts and violation order are
-those of the plain per-(k, rho) scans over the modes.
+A2 and A3 screen each rho point on its sorted dots, so most (k, rho) cells
+need no table pass of their own.  The A3 screen is exact and does not
+depend on kappa, so melnikov_sweep decides every kappa in one pass.  The A2
+screen is conservative with a rounding slack (SCREEN_SLACK); it yields the
+(k, entry) pairs that may fail, and the exact test runs on those pairs, a
+block of rho rows at a time.  Reports, counts and violation order are those
+of the plain per-(k, rho) scans over the modes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -97,6 +99,13 @@ def rho_grid(n: int, points_per_dim: Optional[int] = None, force: bool = False) 
     return np.array(list(itertools.product(*axes)))
 
 
+def _require_normal_modes(A, S: int) -> None:
+    """Refuse a cutoff S that leaves no normal mode: a scan over nothing
+    would report a vacuous "verified"."""
+    if not A.normal_modes(S):
+        raise ValueError(f"S = {S} leaves no normal mode to check")
+
+
 def _rho_rows(rnf: RescaledNormalForm, grid: np.ndarray, uabs: np.ndarray,
               kmat: np.ndarray, width: int):
     """Blocks of grid rows, each with Lambda on the |a| classes uabs and the
@@ -119,6 +128,7 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
              force: bool = False) -> HypothesisReport:
     """Separation: Lambda_a(rho) >= <a> and |Lambda_a - Lambda_b| >=
     (1/8)||a|-|b|| over normal modes |a|,|b| <= S and a rho grid."""
+    _require_normal_modes(rnf.A, S)
     grid = rho_grid(rnf.A.n, points_per_dim, force)
     rng = DivisorRange(rnf.A, 0, S)                 # A1 reads no k and no dots
     normals, uabs, inv = rng.normals, rng.uabs, rng.inv
@@ -149,9 +159,9 @@ def check_a1(rnf: RescaledNormalForm, S: int, points_per_dim: Optional[int] = No
     )
 
 
-def _near(ds: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mask over the sorted dots ds: True at every position p with
-    |ds[p] + x_e| <= t_e for some entry e, widened by the rounding slack.
+def _near_pairs(ds: np.ndarray, x: np.ndarray, t: np.ndarray, limit: int):
+    """The pairs (e, p) with |ds[p] + x_e| <= t_e, widened by the rounding
+    slack, over the sorted dots ds: e-major, as arrays of at most limit pairs.
 
     The slack is SCREEN_SLACK times B, a bound on the summands' magnitude.
     A divisor of up to three summands, summed in another order, and the
@@ -161,11 +171,22 @@ def _near(ds: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
                             + t.max(initial=0.0))
     lo = np.searchsorted(ds, -x - (t + slack), "left")
     hi = np.searchsorted(ds, -x + (t + slack), "right")
-    hit = lo < hi
-    marks = np.zeros(len(ds) + 1, dtype=int)
-    np.add.at(marks, lo[hit], 1)
-    np.add.at(marks, hi[hit], -1)
-    return np.cumsum(marks[:-1]) > 0
+    # entry e's pairs are the flat indices [ends[e] - (hi - lo)[e], ends[e])
+    ends = np.cumsum(hi - lo)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, limit):
+        flat = np.arange(start, min(start + limit, total))
+        e = np.searchsorted(ends, flat, "right")
+        yield e, flat + (hi - ends)[e]
+
+
+def _near(ds: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask over the sorted dots ds: True at every position p with
+    |ds[p] + x_e| <= t_e for some entry e, widened by the rounding slack."""
+    mask = np.zeros(len(ds), dtype=bool)
+    for _, p in _near_pairs(ds, x, t, CELL_BLOCK):
+        mask[p] = True
+    return mask
 
 
 def _min_abs_sum(ds: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -198,27 +219,31 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     resonant patterns carry exact O(nu) shift formulas and are only required
     to stay away from zero.
 
-    The (k, rho) cells are settled one rho point at a time.  A screen over the
-    sorted dots k . Omega(rho) flags every k that comes within the largest
-    D1-D3 threshold (nu^(2/3) w + the largest margin), plus a slack, of some
-    -Lambda_a (-Lambda_a -/+ Lambda_b) on the |a| classes; D0 is tested
-    exactly.  The screen is conservative: the thresholds are the largest over
-    k and the slack (SCREEN_SLACK relative to the summands' size, against
-    rounding of a few 1e-16 relative) covers the different rounding of a sum
-    taken in another order.  An unflagged cell has no value failure at all and
-    only adds to the "value" branch; each flagged cell runs the exact per-cell
-    test, and its violations are reported in (k, then rho) order.
+    The cells are settled a block of rho rows (_rho_rows) at a time.  D0 is
+    tested exactly on the whole block.  For D1-D3 a screen over each rho
+    point's sorted dots k . Omega(rho) yields every (k, entry) pair, over the
+    |a| classes, whose dot comes within the largest D1-D3 threshold
+    (nu^(2/3) w + the largest margin), plus a slack, of -Lambda_a
+    (-Lambda_a -/+ Lambda_b).  The screen is conservative: the thresholds are
+    the largest over k and the slack (SCREEN_SLACK relative to the summands'
+    size, against rounding of a few 1e-16 relative) covers the different
+    rounding of a sum taken in another order.  Every branch count and
+    violation comes from an entry below its threshold, so the block's pairs
+    are all that the exact test sees, in one call per CELL_BLOCK // 2 pairs;
+    a cell with no failing entry adds to the "value" branch.  Violations are
+    reported k-major, then by rho, then resonant zeros, D0, D1, D2, D3, each
+    family's in the order of the table over the modes.
     """
-    if gamma_exponent <= 0:
-        raise ValueError("gamma_exponent must be positive")
+    if not 0 < gamma_exponent < math.inf:
+        raise ValueError(f"gamma_exponent must be positive and finite, got {gamma_exponent!r}")
     if N < 1:
         raise ValueError("N must be >= 1")
+    _require_normal_modes(rnf.A, S)
     nu = rnf.nu
     A = rnf.A
-    n = A.n
     delta0 = 0.5 * nu / float(np.linalg.norm(np.linalg.inv(rnf.M), 2))
     small_cap = nu ** (-gamma_exponent)
-    grid = rho_grid(n, points_per_dim, force)
+    grid = rho_grid(A.n, points_per_dim, force)
     rng = DivisorRange(A, N, S)
     lam_base = rnf.fs.lam(rng.uabs)
     deriv_row = (3.0 / math.pi) * float(
@@ -233,88 +258,99 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
     active = np.flatnonzero((k_l1 <= small_cap) | ~(mks - worst_allowance >= 1.0))
     branch_counts["derivative"] += len(grid) * (len(rng.ks) - len(active))
     checked = len(rng.ks) * len(grid) * (1 + len(rng.normals) * (1 + 2 * len(rng.normals)))
+    mk, margin, req0 = mks[active], margins[active], required0[active]
 
-    # every table below is over the |a| classes of DivisorRange, and
-    # rng.members counts the (a, b) of the mode tables that each entry stands for
-    nu23w = {f: nu ** (2.0 / 3.0) * rng.weights[f] for f in ("D1", "D2", "D3")}
+    # the D1, D2, D3 tables over the |a| classes of DivisorRange, stacked as
+    # f = 0, 1, 2 and indexed (f, u, v), with v = 0 for D1; members counts the
+    # (a, b) of the mode tables that each entry stands for
+    families = ("D1", "D2", "D3")
+    C = len(rng.uabs)
+
+    def stacked(tables):
+        return np.stack([np.broadcast_to(t, (C, C)) for t in tables])
+
+    nu23w = stacked([nu ** (2.0 / 3.0) * rng.weights[f] for f in families])
     # Lambda-derivative allowance per (a, b), summed as the scalar path does
-    allow1 = deriv_row / lam_base
-    allowance = {"D1": allow1[:, None], "D2": allow1[:, None] + allow1[None, :]}
-    allowance["D3"] = allowance["D2"]
-    found: dict[int, list[Violation]] = {int(i): [] for i in active}
+    allow1 = (deriv_row / lam_base)[:, None]
+    allowance = stacked([allow1, allow1 + allow1.T, allow1 + allow1.T])
+    members = stacked([rng.members[f] for f in families])
+    # the resonant entries of every active k, as keys ((t, f, u), v)
+    resonant_keys = []
+    for t, i in enumerate(active):
+        for f, fam in enumerate(families):
+            mask = rng.resonant(fam, rng.ks[i])
+            if mask is not None:
+                resonant_keys += [((t * 3 + f) * C + u) * C + v for u, v in np.argwhere(mask)]
+    resonant_keys = np.array(resonant_keys, dtype=np.int64)
+    modes_of = [np.flatnonzero(rng.inv == u).tolist() for u in range(C)]
+    found: list[tuple[tuple, Violation]] = []      # with their (k, rho, stage, a, b) keys
 
-    def settle(ids: np.ndarray, d: np.ndarray, rho_t: tuple[float, ...],
-               lam_u: np.ndarray) -> None:
-        """The exact test of the flagged cells (k_i, rho), i in ids, with
-        d = k_i . Omega(rho): branch counts, and each cell's violations in the
-        per-cell order (resonant zeros, then D0, D1, D2, D3 failures), each
-        family's in the full table's (a, b) order."""
-        margin, mk, req0 = margins[ids], mks[ids], required0[ids]
-        out = [found[i] for i in ids]
+    def record(stage, family, t, g, value, required, u=0, v=0):
+        k, rho_t = rng.ks[active[t]], tuple(float(r) for r in grid[g])
+        rows = [0] if family == "D0" else modes_of[u]
+        cols = modes_of[v] if family in ("D2", "D3") else [0]
+        for i in rows:
+            for j in cols:
+                found.append(((t, g, stage, i, j), Violation(
+                    "A2", family, k, *rng.ab(family, i, j), rho_t, value, required,
+                    "value+derivative")))
 
-        def record(family, mask, vals, req):
-            for f, i, j in zip(*np.nonzero(rng.spread(family, mask))):
-                u, v = rng.inv[i], (0 if family == "D1" else rng.inv[j])
-                out[f].append(Violation(
-                    "A2", family, rng.ks[ids[f]], *rng.ab(family, i, j), rho_t,
-                    0.0 if vals is None else float(vals[f, u, v]),
-                    0.0 if req is None else float(req[f, u, v]), "value+derivative"))
+    def settle(start, lam_b, dots_b, failing, pending):
+        """The exact D1-D3 test of the screen's pairs (row p of the block,
+        active k t, entry e): branch counts, violations, and failing cells."""
+        p, t, e = (np.concatenate(a) for a in zip(*pending))
+        f, u, v = entry_f[e], entry_u[e], entry_v[e]
+        swap = (f == 1) & (u != v)                  # D2's (b, a) beside its (a, b)
+        p, t, f = (np.concatenate([a, a[swap]]) for a in (p, t, f))
+        u, v = np.concatenate([u, v[swap]]), np.concatenate([v, u[swap]])
+        vals = dots_b[p, t] + lam_b[p, u]
+        vals = np.where(f == 0, vals, np.where(f == 1, vals + lam_b[p, v], vals - lam_b[p, v]))
+        req = nu23w[f, u, v] + margin[t]
+        bad = np.abs(vals) < req
+        p, t, f, u, v, vals, req = (a[bad] for a in (p, t, f, u, v, vals, req))
+        resonant = np.isin(((t * 3 + f) * C + u) * C + v, resonant_keys)
+        branch_counts["resonant-pattern"] += int(members[f, u, v][resonant].sum())
+        # exact O(nu) shift; must stay away from zero
+        for z in np.flatnonzero(resonant & (vals == 0.0)):
+            record(f[z], families[f[z]], t[z], start + p[z], 0.0, 0.0, u[z], v[z])
+        p, t, f, u, v, vals, req = (a[~resonant] for a in (p, t, f, u, v, vals, req))
+        failing[p, t] = True
+        ok = mk[t] - allowance[f, u, v] >= 1.0
+        branch_counts["derivative"] += int(members[f, u, v][ok].sum())
+        for z in np.flatnonzero(~ok):
+            record(4 + f[z], families[f[z]], t[z], start + p[z], float(vals[z]),
+                   float(req[z]), u[z], v[z])
 
-        d0_fails = np.abs(d) < req0
-        fails = d0_fails.copy()
-        vals1 = (d[:, None] + lam_u[None, :])[:, :, None]
-        failing = []
-        for family, vals in (("D1", vals1), ("D2", vals1 + lam_u), ("D3", vals1 - lam_u)):
-            req = nu23w[family] + margin[:, None, None]
-            bad = np.abs(vals) < req
-            if family == "D3":
-                bad &= rng.distinct
-            masks = [rng.resonant(family, rng.ks[i]) for i in ids]
-            if any(m is not None for m in masks):
-                resonant = np.array([np.zeros_like(bad[0]) if m is None else m
-                                     for m in masks])
-                hit = bad & resonant
-                branch_counts["resonant-pattern"] += int((hit * rng.members[family]).sum())
-                # exact O(nu) shift; must stay away from zero
-                zero = hit & (vals == 0.0)
-                if zero.any():
-                    record(family, zero, None, None)
-                bad &= ~resonant
-            fails |= bad.any(axis=(1, 2))
-            failing.append((family, vals, req, bad))
-        branch_counts["value"] += len(ids) - int(fails.sum())
-        d0_ok = mk >= 1.0
-        branch_counts["derivative"] += int((d0_fails & d0_ok).sum())
-        for f in np.nonzero(d0_fails & ~d0_ok)[0]:
-            out[f].append(Violation("A2", "D0", rng.ks[ids[f]], None, None, rho_t,
-                                    float(d[f]), float(req0[f]), "value+derivative"))
-        for family, vals, req, bad in failing:
-            ok = mk[:, None, None] - allowance[family] >= 1.0
-            branch_counts["derivative"] += int(((bad & ok) * rng.members[family]).sum())
-            if (bad & ~ok).any():
-                record(family, bad & ~ok, vals, req)
-
-    n_classes = len(rng.uabs)
-    iu, ju = np.triu_indices(n_classes)             # D2 is symmetric in (a, b)
+    iu, ju = np.triu_indices(C)                     # D2 is symmetric in (a, b)
     ou, ov = np.nonzero(rng.distinct)               # D3 only has |a| != |b|
-    screen_t = np.concatenate([nu23w["D1"][:, 0], nu23w["D2"][iu, ju],
-                               nu23w["D3"][ou, ov]]) + margins[active].max(initial=0.0)
-    block = max(1, CELL_BLOCK // max(1, n_classes ** 2))
-    blocks = _rho_rows(rnf, grid, rng.uabs, rng.kmat[active], len(active) + n_classes)
+    entry_f = np.repeat([0, 1, 2], [C, len(iu), len(ou)])
+    entry_u = np.concatenate([np.arange(C), iu, ou])
+    entry_v = np.concatenate([np.zeros(C, dtype=int), ju, ov])
+    screen_t = nu23w[entry_f, entry_u, entry_v] + margin.max(initial=0.0)
+    limit = max(1, CELL_BLOCK // 2)                 # each pair is at most two entries
+    d0_ok = mk >= 1.0
+    start = 0
+    blocks = _rho_rows(rnf, grid, rng.uabs, rng.kmat[active], len(active) + C)
     for rho_b, lam_b, dots_b in (blocks if len(active) else ()):
-        for rho, lam_u, dots in zip(rho_b, lam_b, dots_b):
+        failing = np.abs(dots_b) < req0             # D0, exactly
+        branch_counts["derivative"] += int((failing & d0_ok).sum())
+        for g, t in zip(*np.nonzero(failing & ~d0_ok)):
+            record(3, "D0", t, start + g, float(dots_b[g, t]), float(req0[t]))
+        pending, size = [], 0
+        for row, (lam_u, dots) in enumerate(zip(lam_b, dots_b)):
             x = np.concatenate([lam_u, lam_u[iu] + lam_u[ju], lam_u[ou] - lam_u[ov]])
             order = np.argsort(dots)
-            flagged = np.empty(len(dots), dtype=bool)
-            flagged[order] = _near(dots[order], x, screen_t)
-            flagged |= np.abs(dots) < required0[active]
-            flagged = np.nonzero(flagged)[0]
-            branch_counts["value"] += len(dots) - len(flagged)
-            rho_t = tuple(float(r) for r in rho)
-            for start in range(0, len(flagged), block):
-                j = flagged[start:start + block]
-                settle(active[j], dots[j], rho_t, lam_u)
-    violations = [v for i in active for v in found[i]]
+            for e, pos in _near_pairs(dots[order], x, screen_t, limit):
+                if size + len(e) > limit:
+                    settle(start, lam_b, dots_b, failing, pending)
+                    pending, size = [], 0
+                pending.append((np.full(len(e), row), order[pos], e))
+                size += len(e)
+        if pending:
+            settle(start, lam_b, dots_b, failing, pending)
+        branch_counts["value"] += failing.size - int(failing.sum())
+        start += len(rho_b)
+    found.sort(key=lambda item: item[0])
     return HypothesisReport(
         hypothesis="A2",
         parameters={"N": N, "S": S, "nu": nu, "delta0": delta0,
@@ -323,7 +359,7 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
                     "gamma_exponent": gamma_exponent, "small_k_cap": small_cap,
                     "rho_points": len(grid)},
         checked_count=checked,
-        violations=violations,
+        violations=[v for _, v in found],
         branch_counts=branch_counts,
     )
 
@@ -338,67 +374,100 @@ def melnikov_scan(rnf: RescaledNormalForm, kappa: float, N: int, S: int,
     for all 0 < |k|_1 <= N and normal |a| != |b| <= S.  Nothing is skipped:
     at the rescaled level the combinatorially resonant patterns carry O(nu)
     shifts which dominate kappa < nu.  Reports the accepted fraction and the
-    proof-shape excluded-measure bound for reference.
+    proof-shape excluded-measure bound for reference.  melnikov_sweep's
+    one-kappa case."""
+    return melnikov_sweep(rnf, [kappa], N, S, points_per_dim, force)[0]
+
+
+def melnikov_sweep(rnf: RescaledNormalForm, kappas: Iterable[float], N: int, S: int,
+                   points_per_dim: Optional[int] = None,
+                   force: bool = False) -> list[HypothesisReport]:
+    """melnikov_scan at every kappa, in input order with duplicates kept,
+    from one pass over the per-rho table.  Every kappa is checked before any
+    table is built.
 
     Each rho point is decided on the sorted dots k . Omega(rho).  The
     computed divisor fl(d + x), with x = Lambda_a - Lambda_b, is monotone in
     d and has the sign of d + x, so its smallest modulus over k sits at one of
-    the two neighbours of -x: the screen is exact, and it accepts a point iff
-    the per-k scan would.  At a rejected point the first k in scan order with
-    a failing pair, its first pair and the count of checked divisors are
-    those of the scan that stops there.
+    the two neighbours of -x: the screen is exact.  That minimum does not
+    depend on kappa, so one stacked compare with kappa * weight decides every
+    kappa, and a point is accepted iff the per-k scan would accept it.  At a
+    rejected (kappa, rho) cell the first k in scan order with a failing
+    pair, its first pair and the count of checked divisors are those of the
+    scan that stops there.
     """
+    kappas = list(kappas)
     nu = rnf.nu
-    if not (0.0 < kappa < nu):
-        raise ValueError("need 0 < kappa < delta = nu")
+    if not kappas:
+        raise ValueError("need at least one kappa")
+    for kappa in kappas:
+        if not (0.0 < kappa < nu):
+            raise ValueError("need 0 < kappa < delta = nu")
     if N < 1:
         raise ValueError("N must be >= 1")
+    _require_normal_modes(rnf.A, S)
     grid = rho_grid(rnf.A.n, points_per_dim, force)
     rng = DivisorRange(rnf.A, N, S)
-    weights = kappa * rng.weights["D3"]
+    weights = np.array(kappas, dtype=float)[:, None, None] * rng.weights["D3"]
     ou, ov = np.nonzero(rng.distinct)               # the class pairs |a| != |b|
-    pair_weights = weights[ou, ov]
+    pair_weights = weights[:, ou, ov]
+    # fl(kappa * w) grows with kappa, so the largest kappa fails wherever any does
+    top = int(np.argmax(kappas))
     per_k = int((rng.distinct * rng.members["D3"]).sum())
-    block = max(1, CELL_BLOCK // max(1, len(ou)))
-    accepted_mask: list[bool] = []
-    checked = 0
-    violations: list[Violation] = []
+    accepted = np.ones((len(kappas), len(grid)), dtype=bool)
+    checked = np.full(len(kappas), len(rng.ks) * per_k * len(grid))
+    violations: list[list[Violation]] = [[] for _ in kappas]
+    g = 0
     for rho_b, lam_b, dots_b in _rho_rows(rnf, grid, rng.uabs, rng.kmat, len(rng.ks) + len(ou)):
         for rho, lam_u, dots in zip(rho_b, lam_b, dots_b):
             diff = lam_u[ou] - lam_u[ov]
-            if not np.any(_min_abs_sum(np.sort(dots), diff) < pair_weights):
-                accepted_mask.append(True)
-                checked += len(dots) * per_k
-                continue
-            # the first k in scan order with a failing pair, a block of k at a time
-            for start in range(0, len(dots), block):
-                bad_k = np.any(np.abs(dots[start:start + block, None] + diff) < pair_weights,
-                               axis=1)
-                if bad_k.any():
-                    first_bad = start + int(np.argmax(bad_k))
-                    break
-            checked += (first_bad + 1) * per_k
-            d = dots[first_bad]
-            bad = rng.distinct & (np.abs(d + (lam_u[:, None] - lam_u[None, :])) < weights)
-            i, j = next(zip(*np.nonzero(rng.spread("D3", bad))))
-            u, v = rng.inv[i], rng.inv[j]
-            # summed as np.dot(k, omega_of(rho)) + lambda_of(a, rho) -
-            # lambda_of(b, rho), so the value is bitwise that of the evaluators
-            violations.append(Violation(
-                "A3", "melnikov", rng.ks[first_bad], *rng.ab("D3", i, j),
-                tuple(float(r) for r in rho), float(d + lam_u[u] - lam_u[v]),
-                float(weights[u, v])))
-            accepted_mask.append(False)
+            smallest = _min_abs_sum(np.sort(dots), diff)
+            near = np.flatnonzero(smallest < pair_weights[top])
+            if len(near):
+                # only the pairs that fail at the largest kappa can fail at all
+                fails = np.flatnonzero((smallest[near] < pair_weights[:, near]).any(axis=1))
+                accepted[fails, g] = False
+                rho_t = tuple(float(r) for r in rho)
+                firsts = _first_failing(dots, diff[near], pair_weights[np.ix_(fails, near)])
+                for j, first_bad in zip(fails, firsts):
+                    checked[j] -= (len(dots) - first_bad - 1) * per_k
+                    d = dots[first_bad]
+                    bad = rng.distinct & (np.abs(d + (lam_u[:, None] - lam_u[None, :]))
+                                          < weights[j])
+                    i, jj = next(zip(*np.nonzero(rng.spread("D3", bad))))
+                    u, v = rng.inv[i], rng.inv[jj]
+                    # summed as np.dot(k, omega_of(rho)) + lambda_of(a, rho) -
+                    # lambda_of(b, rho), so the value is bitwise that of the evaluators
+                    violations[j].append(Violation(
+                        "A3", "melnikov", rng.ks[first_bad], *rng.ab("D3", i, jj), rho_t,
+                        float(d + lam_u[u] - lam_u[v]), float(weights[j, u, v])))
+            g += 1
     gamma_exponent = 0.1
     n = rnf.A.n
-    bound_shape = N ** (n + 1.5 + 2.0 / (3.0 * gamma_exponent)) * math.sqrt(
-        kappa * nu ** (-7.0 / 5.0))
-    return HypothesisReport(
+    return [HypothesisReport(
         hypothesis="A3",
         parameters={"kappa": kappa, "N": N, "S": S, "nu": nu, "delta": nu,
-                    "rho_points": len(grid), "excluded_bound_shape": bound_shape},
-        checked_count=checked,
-        violations=violations,
-        accepted_fraction=sum(accepted_mask) / len(grid),
-        accepted=accepted_mask,
-    )
+                    "rho_points": len(grid),
+                    "excluded_bound_shape": N ** (n + 1.5 + 2.0 / (3.0 * gamma_exponent))
+                    * math.sqrt(kappa * nu ** (-7.0 / 5.0))},
+        checked_count=int(checked[j]),
+        violations=violations[j],
+        accepted_fraction=int(accepted[j].sum()) / len(grid),
+        accepted=accepted[j].tolist(),
+    ) for j, kappa in enumerate(kappas)]
+
+
+def _first_failing(dots: np.ndarray, diff: np.ndarray, pair_weights: np.ndarray) -> np.ndarray:
+    """Per row of pair_weights (a kappa that fails at this rho point), the
+    first k in scan order with |dots[k] + diff| < pair_weights on some pair,
+    found a block of k at a time."""
+    first = np.full(len(pair_weights), -1)
+    block = max(1, CELL_BLOCK // max(1, len(diff) * len(pair_weights)))
+    for start in range(0, len(dots), block):
+        values = np.abs(dots[start:start + block, None] + diff)
+        bad_k = (values < pair_weights[:, None, :]).any(axis=2)
+        new = (first < 0) & bad_k.any(axis=1)
+        first[new] = start + bad_k[new].argmax(axis=1)
+        if (first >= 0).all():
+            break
+    return first

@@ -143,6 +143,27 @@ class TestKamcheck:
         assert "--kmax must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_kappa_that_is_also_in_the_sweep(self, tmp_path):
+        # --kappa and the sweep share one pass; a kappa given twice, and once
+        # more as --kappa, must give what separate runs give
+        common = ["kamcheck", "--modes", "0,1,5", "--mass", "1.2337", "--kmax", "3",
+                  "--smax", "20", "--rho-grid", "3"]
+        both, alone, sweep = tmp_path / "both", tmp_path / "alone", tmp_path / "sweep"
+        assert run([*common, "--hypothesis", "a3", "--kappa", "1e-05",
+                    "--kappa-sweep", "1e-05,1e-06,1e-05", "--output-dir", str(both)]) == 3
+        assert run([*common, "--hypothesis", "a3", "--kappa", "1e-05",
+                    "--output-dir", str(alone)]) == 3
+        assert run([*common, "--hypothesis", "a1", "--kappa-sweep", "1e-06,1e-05",
+                    "--output-dir", str(sweep)]) == 0
+        for name in ("report_a3.json", "report_a3.txt"):
+            assert (both / name).read_bytes() == (alone / name).read_bytes()
+        fraction = json.loads((alone / "report_a3.json").read_text())["accepted_fraction"]
+        rows = (both / "kappa_sweep.csv").read_text().splitlines()
+        assert rows == ["kappa,accepted_fraction", f"1e-05,{fraction!r}",
+                        (sweep / "kappa_sweep.csv").read_text().splitlines()[1],
+                        f"1e-05,{fraction!r}"]
+        assert 0.0 < fraction < 1.0
+
     def test_reports_written(self, tmp_path):
         run(["kamcheck", "--modes", "1", "--rho-grid", "3",
              "--hypothesis", "a1", "--output-dir", str(tmp_path)])

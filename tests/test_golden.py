@@ -1,9 +1,11 @@
 """Byte-identity pins, by sha256: the normal form as of commit 676fcdb, when
 polynomials were dicts of Monomials, the divisor and excluded-mass outputs
-as of commit b8b49d1, when the (a, b) tables were indexed by mode, and the
+as of commit b8b49d1, when the (a, b) tables were indexed by mode, the
 integrator's trajectories and the frequency-shift study as of commit
 8cc25ff, when the Strang step allocated its temporaries per step and held
-xi and eta as two arrays."""
+xi and eta as two arrays, and the kamcheck reports and the Melnikov sweep
+as of commit 01a5c51, when A3 made one scan per kappa and A2 settled its
+flagged cells one rho point at a time."""
 
 import hashlib
 
@@ -108,3 +110,39 @@ def test_integrate_batch_trajectories(nonlinear, digest):
         for name in ("xi", "eta", "energy"):
             h.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
     assert h.hexdigest() == digest
+
+
+KAMCHECK_FILES = ("report_a1.json", "report_a1.txt", "report_a2.json", "report_a2.txt",
+                  "report_a3.json", "report_a3.txt", "kappa_sweep.csv")
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["--modes", "1", "--mass", "1.3", "--kmax", "10", "--smax", "40", "--rho-grid", "250"],
+     ["19b69c9daee3b598805998fbde50e6d6b0741e15affb6683e0b62c34b1b2f409", EMPTY,
+      "ade8797f40de463e8a858987471c7d7fe62dbdd5c0db31b2ac93313278f6ff7c", EMPTY,
+      "d99ee7cbd98696da6325873e0012d70ca6436603ce33094c25abbd7c2d367c4a", EMPTY,
+      "480bfc5d9c04b85321c5ac4956c68039c32f37eb7fca97650d7f817f4b013586"]),
+    (["--modes", "0,1,5", "--mass", "1.2337", "--kmax", "3", "--smax", "20", "--rho-grid", "5"],
+     ["50bdad126d4218ba528197a6607dea1da801d71fdd642e483852d3e858739d66", EMPTY,
+      "c1be5cbb7107539bda074f37cbb60d1fa40f20b92199dc5013fc62768f72f4c5",
+      "bf3846cc64f1e0734d2fe31d60bba82570098c2370172bb68a8f340d6df24935",
+      "c60a5ab2b2a43bfd2d6290746c906427d02d59db7687d44396c05715ff396308",
+      "127c744cd3fac1220ea8509a6c2c2a9538b009d70eb7f78049833d9fc552f795",
+      "7ee1ebb45784a2e4202c373474b075f0012fde1f5ae087789c9fcbca3df17f34"]),
+], ids=["one_mode", "three_modes"])
+def test_kamcheck_outputs(tmp_path, capsys, argv, digests):
+    # the benchmark's kamcheck stage; three_modes reports 3000 A2 violations
+    main(["kamcheck", *argv, "--nu", "0.0001", "--hypothesis", "all",
+          "--kappa-sweep", "1e-07,1e-06,1e-05", "--output-dir", str(tmp_path)])
+    assert [sha256((tmp_path / name).read_bytes()) for name in KAMCHECK_FILES] == digests
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "3d54f8aa306343ce1512e2b799cf83c2c89c7c3939f237fdd8994db9eb5bb4a0"),
+    (["--modes", "0,1,5", "--mass", "1.2337", "--kappas", "1e-6,1e-5,5e-5", "--kmax", "3",
+      "--smax", "20", "--rho-grid", "5"],
+     "a83a414d74e1ce04a8910f057b652e6faf13d05022287390f891dcd767a5c9b0"),
+], ids=["defaults", "three_modes"])
+def test_melnikov_sweep_stdout(argv, digest):
+    assert sha256(run_script("melnikov_sweep", argv).encode()) == digest

@@ -16,6 +16,7 @@ from wavekam.kamcheck import (
     check_a1,
     check_transversality,
     melnikov_scan,
+    melnikov_sweep,
     rho_grid,
 )
 from wavekam.polyham import build_p4
@@ -472,6 +473,98 @@ class TestScreenedScansMatchLoops:
         for kappa in (1e-4, 9e-4):
             assert_same_report(melnikov_scan(rnf, kappa, 3, 10, points_per_dim=2),
                                reference_melnikov(rnf, kappa, 3, 10, points_per_dim=2))
+
+
+class TestOnePassScansMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(case=scan_cases(),
+           shares=st.lists(st.sampled_from([1e-3, 0.1, 0.5, 0.99]), min_size=1, max_size=4))
+    def test_melnikov_sweep(self, case, shares):
+        # kappas in any order, duplicates kept: one report per kappa given
+        modes, mass, nu, N, S, points = case
+        rnf = cached_rnf(modes, mass, nu)
+        kappas = [share * nu for share in shares]
+        reports = melnikov_sweep(rnf, kappas, N, S, points_per_dim=points)
+        assert [r.parameters["kappa"] for r in reports] == kappas
+        references = {kappa: reference_melnikov(rnf, kappa, N, S, points_per_dim=points)
+                      for kappa in set(kappas)}
+        for kappa, report in zip(kappas, reports):
+            assert_same_report(report, references[kappa])
+            assert report.parameters == melnikov_scan(rnf, kappa, N, S,
+                                                      points_per_dim=points).parameters
+
+    @pytest.mark.parametrize("modes, nu, N, S, points", [
+        ((1,), 1e-2, 10, 40, 12),
+        ((0, 1, 5), 1e-4, 3, 20, 3),
+        ((0, 2), 1e-3, 4, 24, 4),
+    ])
+    def test_sweep_workload_shapes(self, modes, nu, N, S, points):
+        # the largest kappa is not the first, and the fractions differ by kappa
+        rnf = cached_rnf(modes, 1.2337 if len(modes) == 3 else 1.3, nu)
+        kappas = [0.1 * nu, 1e-3 * nu, 0.99 * nu, 0.1 * nu, 0.5 * nu]
+        reports = melnikov_sweep(rnf, kappas, N, S, points_per_dim=points)
+        assert len({r.accepted_fraction for r in reports}) > 1
+        for kappa, report in zip(kappas, reports):
+            assert_same_report(report, reference_melnikov(rnf, kappa, N, S,
+                                                           points_per_dim=points))
+
+    @pytest.mark.parametrize("cell_block", [1, 50])
+    def test_sweep_results_do_not_depend_on_blocks(self, monkeypatch, cell_block):
+        monkeypatch.setattr(kamcheck, "CELL_BLOCK", cell_block)
+        rnf = cached_rnf((0, 1, 5), 1.41, 1e-3)
+        kappas = [1e-4, 9e-4, 5e-4, 9e-4]
+        for kappa, report in zip(kappas, melnikov_sweep(rnf, kappas, 3, 10, points_per_dim=2)):
+            assert_same_report(report, reference_melnikov(rnf, kappa, 3, 10, points_per_dim=2))
+
+    def test_block_of_rows_failing_at_one_k_in_several_families(self):
+        # four rho rows, all in one block, fail at k = -3 in D2 and in D3; the
+        # report must still list k, then rho, then family, not family first
+        rnf = cached_rnf((1,), 1.3, 1e-2)
+        rng = DivisorRange(rnf.A, 3, 12)
+        assert len(list(kamcheck._rho_rows(rnf, rho_grid(1, 4), rng.uabs, rng.kmat,
+                                           len(rng.ks) + len(rng.uabs)))) == 1
+        report = check_transversality(rnf, 3, 12, points_per_dim=4)
+        rows = {}
+        for v in report.violations:
+            if v.k == (-3,):
+                rows.setdefault(v.rho, []).append(v.family)
+        assert len(rows) == 4
+        assert all({"D2", "D3"} <= set(families) for families in rows.values())
+        assert all(families == sorted(families) for families in rows.values())
+        assert report.branch_counts["resonant-pattern"] > 0
+        assert_same_report(report, reference_transversality(rnf, 3, 12, points_per_dim=4))
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+    def test_gamma_exponent_positive_and_finite(self, rnf_default, gamma):
+        with pytest.raises(ValueError, match="gamma_exponent"):
+            check_transversality(rnf_default, N=2, S=5, gamma_exponent=gamma,
+                                 points_per_dim=2)
+
+    @pytest.mark.parametrize("scan", [
+        lambda rnf, S: check_a1(rnf, S, points_per_dim=2),
+        lambda rnf, S: check_transversality(rnf, 2, S, points_per_dim=2),
+        lambda rnf, S: melnikov_scan(rnf, 1e-6, 2, S, points_per_dim=2),
+        lambda rnf, S: melnikov_sweep(rnf, [1e-6, 1e-5], 2, S, points_per_dim=2),
+    ], ids=["a1", "a2", "a3", "a3-sweep"])
+    @pytest.mark.parametrize("modes, S", [((0,), 0), ((1,), -1)])
+    def test_no_normal_mode(self, scan, modes, S):
+        # a scan over no mode would report a vacuous "verified"
+        with pytest.raises(ValueError, match="leaves no normal mode to check"):
+            scan(cached_rnf(modes, 1.31, 1e-4), S)
+
+    @pytest.mark.parametrize("kappas", [[], [1e-6, 1e-4], [math.nan], [-1e-6, 1e-6],
+                                        [1e-6, 2e-4]],
+                             ids=["none", "at-nu", "nan", "negative", "above-nu"])
+    def test_sweep_checks_kappas_before_any_table(self, monkeypatch, rnf_default, kappas):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built before the kappas were checked")
+
+        monkeypatch.setattr(kamcheck, "DivisorRange", refuse)
+        monkeypatch.setattr(kamcheck, "rho_grid", refuse)
+        with pytest.raises(ValueError, match="kappa"):
+            melnikov_sweep(rnf_default, kappas, 2, 10, points_per_dim=2)
 
 
 @dataclasses.dataclass
