@@ -326,12 +326,13 @@ def rescale(nf: NormalFormResult, fs: FrequencySystem, A: AdmissibleSet, nu: flo
     largest coefficients and extracts the jet of the last two at
     r = zeta = 0 symbolically (normal-factor count <= 2).
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    # NaN fails every comparison, so test for "inside", not for "outside"
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (A.n,):
         raise ValueError(f"rho must have length {A.n}")
-    if np.any(rho < 1.0) or np.any(rho > 2.0):
+    if not np.all((1.0 <= rho) & (rho <= 2.0)):
         raise ValueError("rho must lie in [1, 2]^A")
     lam_t = fs.omega_vector(A)
     M = frequency_matrix(fs, A)

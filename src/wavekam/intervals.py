@@ -60,14 +60,6 @@ class Interval:
             raise ValueError("sqrt of an interval reaching below zero")
         return Interval(_down(math.sqrt(self.lo)), _up(math.sqrt(self.hi)))
 
-    def abs_lower(self) -> float:
-        """Certified lower bound of |x| over the interval."""
-        if self.lo > 0:
-            return self.lo
-        if self.hi < 0:
-            return -self.hi
-        return 0.0
-
     def abs_upper(self) -> float:
         return max(abs(self.lo), abs(self.hi))
 

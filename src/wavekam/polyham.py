@@ -806,21 +806,6 @@ def hessian(f: PolyHamiltonian, z: PhasePoint) -> dict[tuple[int, int], np.ndarr
     return blocks
 
 
-_SIGMA2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def projector_compliance_defect(blocks: dict[tuple[int, int], np.ndarray]) -> float:
-    """Largest entrywise distance of a Hessian block from the span of
-    {I, sigma_2}.  Reported as a diagnostic only; blocks are stored raw."""
-    worst = 0.0
-    for block in blocks.values():
-        a = 0.5 * (block[0, 0] + block[1, 1])
-        b = 0.5 * (block[1, 0] - block[0, 1])
-        proj = a * np.eye(2) + b * _SIGMA2
-        worst = max(worst, float(np.max(np.abs(block - proj))))
-    return worst
-
-
 def hessian_norm(blocks: dict[tuple[int, int], np.ndarray], beta: float) -> float:
     """|A|_beta = sup <s>^beta <s'>^beta max|entry|."""
     best = 0.0

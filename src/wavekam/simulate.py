@@ -94,8 +94,6 @@ class TorusTrajectory:
     energy: np.ndarray
     actions: np.ndarray     # (samples, n) tangential actions |xi_a|^2
     phases: np.ndarray      # (samples, n) arg xi_a, unwrapped later
-    extracted_frequencies: Optional[dict[int, float]] = None
-    sup_distance: Optional[float] = None
 
     @property
     def reality_defect(self) -> float:
@@ -335,52 +333,6 @@ def integrate_batch(cfgs: Sequence[SimConfig],
 
 
 # ---------------------------------------------------------------------------
-# Linear reference torus
-# ---------------------------------------------------------------------------
-
-def linear_torus_solution(A: AdmissibleSet, I: dict[int, float], m: float,
-                          theta0: dict[int, float], t: float,
-                          x: np.ndarray) -> np.ndarray:
-    """Exact quasi-periodic solution of the linear equation sampled at x:
-
-    u(theta0 + t omega, x) = sum_a sqrt(I_a)
-        (e^{i (theta_a + t omega_a)} phi_a(x) + c.c.) / sqrt(2 lambda_a),
-    phi_a(x) = e^{iax} / sqrt(2 pi).
-    """
-    fs = FrequencySystem(m)
-    x = np.asarray(x, dtype=float)
-    u = np.zeros_like(x)
-    for a in A.modes:
-        if I[a] <= 0:
-            raise ValueError("actions must be positive")
-        lam = float(fs.lam(a))
-        theta = theta0.get(a, 0.0) + t * lam
-        amp = math.sqrt(I[a]) / math.sqrt(2.0 * lam) / math.sqrt(2.0 * math.pi)
-        u += 2.0 * amp * np.cos(a * x + theta)
-    return u
-
-
-def linear_field_energy(A: AdmissibleSet, I: dict[int, float], m: float,
-                        theta0: dict[int, float], t: float,
-                        n_grid: int = 2048) -> float:
-    """Quadrature of (u_t^2 + u_x^2 + m u^2)/2 over the circle at time t."""
-    fs = FrequencySystem(m)
-    x = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    u = np.zeros_like(x)
-    ut = np.zeros_like(x)
-    ux = np.zeros_like(x)
-    for a in A.modes:
-        lam = float(fs.lam(a))
-        theta = theta0.get(a, 0.0) + t * lam
-        amp = 2.0 * math.sqrt(I[a]) / math.sqrt(2.0 * lam) / math.sqrt(2.0 * math.pi)
-        u += amp * np.cos(a * x + theta)
-        ut += -amp * lam * np.sin(a * x + theta)
-        ux += -amp * a * np.sin(a * x + theta)
-    dens = 0.5 * (ut ** 2 + ux ** 2 + m * u ** 2)
-    return float(np.mean(dens) * 2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
 
@@ -421,7 +373,6 @@ def extract_frequencies(traj: TorusTrajectory, A: AdmissibleSet) -> dict[int, fl
             raise FrequencyExtractionError(
                 f"phase fit residual {rms:.3f} rad RMS exceeds {MAX_PHASE_RESIDUAL}")
         out[a] = abs(float(slope))
-    traj.extracted_frequencies = out
     return out
 
 
@@ -460,5 +411,4 @@ def torus_distance(traj: TorusTrajectory, I: dict[int, float], m: float,
         res = minimize(dist, theta_seed, method="Nelder-Mead",
                        options={"maxiter": 80, "xatol": 1e-10, "fatol": 1e-14})
         worst = max(worst, min(dist(theta_seed), float(res.fun)))
-    traj.sup_distance = worst
     return worst

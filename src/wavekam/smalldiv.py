@@ -16,7 +16,8 @@ non-resonant.  `DivisorRange` owns the (k, a, b) range and the (a, b) tables
 (weights, |a| != |b|, the resonant entries of each (kind, k)) over the |a|
 classes that the scans here and in kamcheck walk.  `excluded_mass_sweep`
 samples the masses at which some lower bound fails for a whole kappa x N
-sweep in one walk over the range; `excluded_mass_scan` is its one-cell case.
+sweep in one walk over the range, one `MeasureEstimate` per cell;
+`excluded_mass_scan` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .intervals import Interval, interval_frequency
-from .spectrum import AdmissibleSet, FrequencySystem, MeasureEstimate, _count_boundary_cells, _mass_grid
+from .spectrum import MASS_MAX, MASS_MIN, AdmissibleSet, FrequencySystem
 
 KINDS = ("D0", "D1", "D2", "D3")
 # cap on the (b-class, mass) entries of one excluded-mass pass: past about a
@@ -124,14 +125,6 @@ def evaluate_divisor_interval(q: DivisorQuery, m: float, A: AdmissibleSet) -> In
     elif q.kind == "D3":
         total = total - interval_frequency(q.b, m)
     return total
-
-
-def certify_lower_bound(q: DivisorQuery, m: float, A: AdmissibleSet,
-                        kappa: float) -> bool:
-    """Rigorous check |divisor| >= kappa * weight at mass m via directed
-    rounding; True only when the bound provably holds."""
-    iv = evaluate_divisor_interval(q, m, A)
-    return iv.abs_lower() >= kappa * divisor_weight(q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -353,6 +346,23 @@ def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: in
     return violations
 
 
+@dataclass
+class MeasureEstimate:
+    """Grid-sampled measure of the masses in [1, 2] that one (kappa, N) cell
+    excludes, next to the exponents' shape kappa^tau N^iota (analytic_bound).
+
+    sampled_measure is the fraction of grid points excluded (the interval has
+    length 1).  boundary_cells counts the changes of the indicator between
+    neighbouring grid points.
+    """
+
+    analytic_bound: float
+    sampled_measure: float
+    grid_points: int
+    boundary_cells: int
+    parameters: dict = field(default_factory=dict)
+
+
 def excluded_mass_scan(A: AdmissibleSet, kappa: float, N: int,
                        S: Optional[int] = None, grid: int = 10 ** 4) -> MeasureEstimate:
     """Fraction of grid masses in [1,2] at which some lower bound over
@@ -382,7 +392,7 @@ def excluded_mass_sweep(A: AdmissibleSet, kappas: Iterable[float], Ns: Iterable[
     if grid < 1:
         raise ValueError("grid must be >= 1")
     rng = DivisorRange(A, max(Ns), S)
-    lam_grid = FrequencySystem(_mass_grid(grid)).lam
+    lam_grid = FrequencySystem(np.linspace(MASS_MIN, MASS_MAX, grid)).lam
     omega_grid = lam_grid(np.array(A.modes)[:, None])
     lam = lam_grid(rng.uabs[:, None])
     kappa_stack = np.array(kappas, dtype=float)
@@ -419,7 +429,7 @@ def _excluded_estimate(A: AdmissibleSet, kappa: float, N: int, S: int,
         analytic_bound=float(kappa ** tau * N ** iota),
         sampled_measure=float(np.mean(excluded)),
         grid_points=len(excluded),
-        boundary_cells=_count_boundary_cells(excluded),
+        boundary_cells=int(np.count_nonzero(excluded[1:] != excluded[:-1])),
         parameters={"kappa": kappa, "N": N, **meta,
                     "bound_shape": "C * kappa^tau * N^iota (per-kind exponents in metadata)"},
     )

@@ -271,3 +271,9 @@ class TestRescale:
             rescale(nf, fs, A, 1e-3, [2.5])
         with pytest.raises(ValueError):
             rescale(nf, fs, A, 1e-3, [1.5, 1.5])
+        # NaN fails every comparison, so a test for "outside" let these through
+        for nu in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="nu must be positive and finite"):
+                rescale(nf, fs, A, nu, [1.5])
+        with pytest.raises(ValueError, match=r"rho must lie in \[1, 2\]"):
+            rescale(nf, fs, A, 1e-4, [math.nan])

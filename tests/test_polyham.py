@@ -19,7 +19,6 @@ from wavekam.polyham import (
     gradient,
     hessian,
     lie_transform,
-    projector_compliance_defect,
     mono,
     poisson_bracket,
     radial_scaling_fit,
@@ -628,17 +627,6 @@ class TestGradientHessian:
         z = PhasePoint.zero(1)
         blocks = hessian(f, z)
         assert blocks[(1, 1)][0, 0] == pytest.approx(2.0)
-
-    def test_projector_compliance_reported(self):
-        # diagnostic only: the defect is computed and reported, not enforced
-        fs = FrequencySystem(1.5)
-        p4 = build_p4(2, fs).total
-        rng = np.random.default_rng(21)
-        z = PhasePoint.random(2, rng)
-        defect = projector_compliance_defect(hessian(p4, z))
-        assert np.isfinite(defect) and defect >= 0.0
-        compliant = {(0, 0): 2.0 * np.eye(2) + 0.7 * np.array([[0., -1.], [1., 0.]])}
-        assert projector_compliance_defect(compliant) == 0.0
 
     def test_radial_scaling_exponents(self):
         fs = FrequencySystem(1.3)

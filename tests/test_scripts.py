@@ -123,10 +123,13 @@ def test_excluded_mass_csv_keeps_duplicate_rows_in_order():
     ("excluded_mass_study", ["--kappas", "1e-3", "--kmaxes", "1,0", "--grid", "200"]),
     ("melnikov_sweep", ["--kappas", "1e-5", "--kmax", "2", "--smax", "-2",
                         "--rho-grid", "5"]),
+    # every kappa is below nu = inf, whose NaN divisors read as accepted
+    ("melnikov_sweep", ["--nu", "inf", "--kappas", "1e-6", "--kmax", "1", "--smax", "3",
+                        "--rho-grid", "3"]),
 ], ids=["em-negative-kappa", "em-nan-kappa", "em-kmax-0", "em-grid-0",
         "em-second-kappa-negative", "fs-negative-nu", "fs-nan-nu", "fs-too-short",
         "fs-nan-blowup", "ms-kappa-above-nu", "em-negative-smax", "em-second-kmax-0",
-        "ms-negative-smax"])
+        "ms-negative-smax", "ms-infinite-nu"])
 def test_library_value_error_is_a_usage_error(name, argv):
     # a failed run leaves stdout empty: no header, no rows before the failure
     code, out, err = call_script(name, argv)

@@ -11,8 +11,6 @@ from wavekam.simulate import (
     initial_state,
     integrate,
     integrate_batch,
-    linear_field_energy,
-    linear_torus_solution,
     _Spectral,
     torus_distance,
 )
@@ -77,34 +75,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(cutoff=2, mass=1.3, A=AdmissibleSet([5]),
                       actions={5: 1e-3}, dt=1e-3, T=1.0)
-
-
-class TestLinearTorus:
-    def test_zero_mode_value(self):
-        A = AdmissibleSet([0])
-        u = linear_torus_solution(A, {0: 1.0}, 1.0, {0: 0.0}, 0.0,
-                                  np.array([0.0, 1.0]))
-        expected = math.sqrt(2.0 / (2.0 * math.pi))  # m^(-1/4) = 1
-        assert u == pytest.approx([expected, expected])
-
-    def test_time_shift_property(self):
-        I = {1: 0.7}
-        x = np.linspace(0, 2 * math.pi, 17)
-        omega = math.sqrt(1 + 1.4)
-        s, t = 0.9, 2.3
-        u1 = linear_torus_solution(A1, I, 1.4, {1: 0.2}, t + s, x)
-        u2 = linear_torus_solution(A1, I, 1.4, {1: 0.2 + s * omega}, t, x)
-        assert np.allclose(u1, u2, atol=1e-12)
-
-    def test_energy_constant_quadrature(self):
-        I = {1: 0.3}
-        values = [linear_field_energy(A1, I, 1.5, {1: 0.1}, t) for t in
-                  (0.0, 1.7, 13.9, 200.0)]
-        assert max(values) - min(values) <= 1e-12 * max(values)
-
-    def test_positive_actions_required(self):
-        with pytest.raises(ValueError):
-            linear_torus_solution(A1, {1: 0.0}, 1.3, {}, 0.0, np.array([0.0]))
 
 
 class TestSpectralKernel:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from wavekam.intervals import Interval, interval_frequency
 from wavekam.smalldiv import (
     DivisorQuery,
-    certify_lower_bound,
     classify_resonant,
     divisor_weight,
     evaluate_divisor,
@@ -246,13 +245,6 @@ class TestScans:
             with pytest.raises(ValueError):
                 scan_lower_bounds(fs, A, kappa, 2)
 
-    def test_certify_single_bound(self):
-        A = AdmissibleSet([1])
-        q = DivisorQuery("D3", (0,), a=5, b=3)
-        # sqrt(26.5) - sqrt(10.5) ~ 1.91 >= kappa * 3 rigorously
-        assert certify_lower_bound(q, 1.5, A, kappa=0.5)
-        assert not certify_lower_bound(q, 1.5, A, kappa=1.0)
-
     def test_certify_mode_sound(self):
         A = AdmissibleSet([1])
         fs = FrequencySystem(1.5)
@@ -445,11 +437,6 @@ class TestIntervals:
             assert (x + y) in (ix + iy)
             assert (x - y) in (ix - iy)
             assert (x * y) in (ix * iy)
-
-    def test_abs_lower(self):
-        assert Interval(-2.0, -1.0).abs_lower() == 1.0
-        assert Interval(-1.0, 2.0).abs_lower() == 0.0
-        assert Interval(0.5, 2.0).abs_lower() == 0.5
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

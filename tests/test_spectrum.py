@@ -2,22 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from wavekam.spectrum import (
     AdmissibleSet,
     FrequencySystem,
     check_mass,
-    frequency,
     frequency_derivative,
     is_admissible,
-    nrom_excluded_bound,
-    sublevel_measure,
     vandermonde_closed_form,
     vandermonde_determinant,
     vandermonde_matrix,
     vandermonde_scale,
-    volume_pick,
 )
 
 
@@ -47,15 +43,20 @@ def finite_difference_derivative(a, m, j):
 
 class TestFrequency:
     def test_basic_values(self):
-        assert frequency(0, 1) == 1.0
-        assert frequency(1, 1) == pytest.approx(math.sqrt(2), rel=1e-12)
+        assert FrequencySystem(1).lam(0) == 1.0
+        assert FrequencySystem(1).lam(1) == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_symmetry(self):
-        assert frequency(-7, 1.5) == frequency(7, 1.5)
+        fs = FrequencySystem(1.5)
+        assert fs.lam(-7) == fs.lam(7)
+        s = np.arange(1, 50)
+        assert np.array_equal(fs.lam(-s), fs.lam(s))
 
     def test_mass_range(self):
         with pytest.raises(ValueError):
-            frequency(1, 0.5)
+            FrequencySystem(0.5)
+        with pytest.raises(ValueError):
+            FrequencySystem([1.5, 2.5])
         with pytest.raises(ValueError):
             check_mass(2.5)
 
@@ -119,8 +120,7 @@ class TestAdmissible:
         A = AdmissibleSet([0, 1, 5])
         assert A.n == 3
         assert A.n_bound == 5
-        assert A.a_minus == {-1, -5}
-        assert A.is_tangential(5) and A.is_normal(-5)
+        assert A.is_tangential(5) and not A.is_tangential(-5)
         assert A.normal_modes(2) == [-2, -1, 2]
 
     def test_construction_rejects_bad_sets(self):
@@ -178,109 +178,6 @@ class TestVandermonde:
             vandermonde_determinant([], 1.0)
         with pytest.raises(ValueError):
             vandermonde_matrix([1, 1], 1.0)
-
-
-class TestVolumePick:
-    def test_collinear_bound_tight(self):
-        pick = volume_pick([[2.0, 0.0]], [4.0, 0.0])
-        assert pick.index == 0
-        assert pick.inner == pytest.approx(8.0)
-        # p = 1, K = 2: bound = ||w|| V / K^0 ... = 4 * 2 / 1
-        assert pick.inner == pytest.approx(pick.bound, rel=1e-12)
-
-    def test_orthonormal_example(self):
-        pick = volume_pick([[1.0, 0.0], [0.0, 1.0]], [3.0, 4.0])
-        assert pick.index == 1
-        assert pick.inner == pytest.approx(4.0)
-        assert pick.bound == pytest.approx(5.0 * 1.0 / (2 * 1.0))
-        assert pick.inner >= pick.bound
-
-    def test_scaled_diagonal_system(self):
-        u = [[1.0, 1.0], [1.0, -1.0]]
-        pick = volume_pick(u, [1.0, 0.0])
-        assert pick.inner >= pick.bound - 1e-12
-
-    def test_rank_deficiency_rejected(self):
-        with pytest.raises(ValueError):
-            volume_pick([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
-
-    def test_w_outside_span_rejected(self):
-        with pytest.raises(ValueError):
-            volume_pick([[1.0, 0.0, 0.0]], [0.0, 1.0, 0.0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_inequality_property(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=8))
-        p = data.draw(st.integers(min_value=1, max_value=min(5, n)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        U = rng.standard_normal((p, n))
-        if np.linalg.matrix_rank(U) < p:
-            return
-        coeffs = rng.standard_normal(p)
-        w = coeffs @ U
-        if np.linalg.norm(w) < 1e-9:
-            return
-        pick = volume_pick(U, w)
-        assert pick.inner >= pick.bound * (1 - 1e-9)
-
-
-class TestSublevelMeasure:
-    def test_never_below_threshold(self):
-        est = sublevel_measure(lambda m: np.ones_like(m), h=0.5, p=1, d=1.0,
-                               grid=1000)
-        assert est.sampled_measure == 0.0
-
-    def test_linear_function_exact_window(self):
-        est = sublevel_measure(lambda m: m - 1.5, h=0.1, p=1, d=1.0, grid=10 ** 5)
-        assert est.sampled_measure == pytest.approx(0.2, abs=1e-3)
-        assert est.analytic_bound == pytest.approx(2 * (2 + 1) * 0.1)
-        assert est.sampled_measure <= est.analytic_bound + est.slack
-
-    def test_frequency_combination_case(self):
-        A = AdmissibleSet([0, 3])
-        est = nrom_excluded_bound(A, k=[1, -1], c=0.0, chi=1e-3, grid=10 ** 6)
-        assert est.sampled_measure <= est.analytic_bound + est.slack
-
-    def test_monotone_in_h(self):
-        g = lambda m: np.sin(40 * m)
-        prev = -1.0
-        for h in (0.01, 0.05, 0.2, 0.7):
-            est = sublevel_measure(g, h=h, p=1, d=1.0, grid=20001)
-            assert est.sampled_measure >= prev
-            prev = est.sampled_measure
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sublevel_measure(lambda m: m, h=-1.0, p=1, d=1.0)
-        with pytest.raises(ValueError):
-            sublevel_measure(lambda m: m * np.nan, h=0.1, p=1, d=1.0, grid=100)
-
-
-class TestNromBound:
-    def test_single_mode_never_small(self):
-        # omega_0 = sqrt(m) >= 1 > chi on the whole interval
-        est = nrom_excluded_bound(AdmissibleSet([0]), k=[1], c=0.0, chi=0.5,
-                                  grid=10 ** 4)
-        assert est.sampled_measure == 0.0
-
-    def test_two_mode_combination(self):
-        est = nrom_excluded_bound(AdmissibleSet([0, 1]), k=[1, -1], c=0.0,
-                                  chi=1e-4, grid=10 ** 6)
-        assert est.sampled_measure <= est.analytic_bound
-        assert est.parameters["fitted_C"] > 0
-
-    def test_monotone_in_chi(self):
-        A = AdmissibleSet([0, 2])
-        prev = math.inf
-        for chi in (1e-1, 1e-2, 1e-3, 1e-4):
-            est = nrom_excluded_bound(A, k=[2, -1], c=0.0, chi=chi, grid=10 ** 5)
-            assert est.sampled_measure <= prev
-            prev = est.sampled_measure
-
-    def test_zero_k_rejected(self):
-        with pytest.raises(ValueError):
-            nrom_excluded_bound(AdmissibleSet([0, 1]), k=[0, 0], c=0.0, chi=0.1)
 
 
 class TestFrequencySystem:
