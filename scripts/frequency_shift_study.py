@@ -42,9 +42,9 @@ def main() -> int:
                           T=args.tmax, store_every=100) for nu in nus]
         M = frequency_matrix(fs, A)
         omega = fs.omega_vector(A)
-        t0 = time.time()
+        t0 = time.perf_counter()
         trajs = integrate_batch(cfgs)
-        took = time.time() - t0
+        took = time.perf_counter() - t0
         rows, gaps = [], []
         for nu, traj in zip(nus, trajs):
             extracted = extract_frequencies(traj, A)
@@ -61,7 +61,7 @@ def main() -> int:
 
     print("nu,mode,omega_linear,omega_predicted,omega_extracted,gap,tolerance")
     print("\n".join(rows))
-    print(f"# integrate_batch over {len(nus)} nu took {took:.0f}s", file=sys.stderr)
+    print(f"# integrate_batch over {len(nus)} nu took {took:.2f} s", file=sys.stderr)
     if len(nus) >= 2:
         slope = float(np.polyfit(np.log(nus), np.log(gaps[::A.n][:len(nus)]), 1)[0])
         print(f"# fitted gap exponent: {slope:.3f}", file=sys.stderr)

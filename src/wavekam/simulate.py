@@ -24,6 +24,11 @@ multiply rotates both rows, and the kick adds one band times +coef to xi
 and times -coef to the reversed eta in one update.  Stored samples,
 BlowUpError snapshots and every function's inputs and outputs keep eta in
 mode order.
+
+_Spectral.advance runs one store block of Strang steps as a flat loop: per
+step one rotation, one call of the cubic kernel (a closure over buffers made
+once) and the kick's multiply and add, with every ufunc and operand bound to
+a local and every operand but the kick's band at the full state shape.
 """
 
 from __future__ import annotations
@@ -79,6 +84,8 @@ class SimConfig:
                 f"resolution gate: dt * max frequency = {self.dt * lam_max:.3f} > 0.5")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
+        if self.n_steps < 1:
+            raise ValueError(f"T = {self.T!r} rounds to 0 steps of dt = {self.dt!r}")
 
     @property
     def n_steps(self) -> int:
@@ -129,73 +136,98 @@ def initial_state(cfg: SimConfig, rng: Optional[np.random.Generator] = None
 
 
 class _Spectral:
-    """Precomputed grids, transforms and work buffers for one configuration.
+    """Precomputed grids, tables, transforms and work buffers for one
+    configuration and states of shape rows + (2S+1,); a batch of B is
+    rows = (B,).
 
     The field's 2S+1 coefficients W_s = (xi_s + eta_{-s}) / sqrt(2 lambda_s)
     sit at the head of an M-point spectrum, so one inverse transform gives
     g = u e^{iSx} on the grid x_j = 2 pi j / M.  Cubing shifts every mode by
     3S, so c_s(u^3) is coefficient s + 3S of g^3; M > 4S keeps that band
     2S..4S clear of wrap-around and de-aliases the cubic term exactly.
-    States have shape rows + (2S+1,), so a batch of B is rows = (B,).
 
-    The kernel takes eta reversed, eta_rev[s] = eta_{-s}, which is how the
-    integrator holds it: then W = (xi + eta_rev) w_scale, and the kick is
-    one (+coef, -coef) multiply of the band and one add to the whole state,
-    with no reversed view.  The zero-padded head, g, g^3, the spectrum and
-    the kick's update are allocated once for the given rows, and every
-    kernel result is a view into them, valid until the next call.
+    The cubic kernel is one closure over the buffers made here, and
+    cubic_coeffs, energy, kick and the step loop in advance all call it.  It
+    takes eta reversed, eta_rev[s] = eta_{-s}, which is how the integrator
+    holds it: then W = (xi + eta_rev) w_scale, and the kick is one
+    (+coef, -coef) multiply of the band and one add to the whole state, with
+    no reversed view.  The rotation, both kick tables and w_scale are stored
+    at the full shape (2,) + rows + (2S+1,), or rows + (2S+1,) for w_scale,
+    so that only the kick's table x band product broadcasts.  W, g, g^3,
+    the spectrum and the kick's update are allocated once, and every kernel
+    result is a view into them, valid until the next call.
     """
 
     def __init__(self, cfg: SimConfig, rows: tuple = ()):
         S = cfg.cutoff
-        self.S = S
         self.lam = FrequencySystem(cfg.mass).lam(np.arange(-S, S + 1))
         self.M = 4 * S + 4
+        self.rows = rows
+        self.dt = cfg.dt
+        self.nonlinear = cfg.nonlinearity_on
+        shape = rows + (2 * S + 1,)
         self.kick_scale = 4.0 * np.sqrt(np.pi / self.lam)
         # complex, so that scaling W skips the cast a real factor would need
-        self.w_scale = (1.0 / np.sqrt(2.0 * self.lam) / math.sqrt(2.0 * math.pi)
-                        ).astype(complex)
+        self.w_scale = np.broadcast_to(
+            (1.0 / np.sqrt(2.0 * self.lam) / math.sqrt(2.0 * math.pi)).astype(complex),
+            shape).copy()
         self.unshift = np.exp(-1j * S * (2.0 * np.pi / self.M) * np.arange(self.M))
-        # work buffers for states of shape rows + (2S+1,)
-        self._head = np.zeros(rows + (self.M,), dtype=complex)
-        self._w = self._head[..., :2 * S + 1]
-        self._g = np.empty_like(self._head)
-        self._cube = np.empty_like(self._head)
-        self._spectrum = np.empty_like(self._head)
-        self._band = self._spectrum[..., 2 * S: 4 * S + 1]
-        self._update = np.empty((2,) + rows + (2 * S + 1,), dtype=complex)
-        # np.fft.ifft/fft(..., norm="forward") end in these gufuncs with the
-        # factors 1 and 1/M; calling them directly skips np.fft's per-call
-        # argument handling and gives the same bits
+        self.rot = self.rotation(np.exp(1j * self.lam * cfg.dt))
+        self.kick_full = self.kick_table(cfg.dt)
+        self.kick_half = self.kick_table(cfg.dt / 2)
+        self._update = np.empty((2,) + shape, dtype=complex)
+
+        w = np.empty(shape, dtype=complex)
+        self._g = g = np.empty(rows + (self.M,), dtype=complex)
+        cube = np.empty_like(g)
+        spectrum = np.empty_like(g)
+        band = spectrum[..., 2 * S: 4 * S + 1]
+        w_scale = self.w_scale
+        add, multiply = np.add, np.multiply
+        # np.fft.ifft(w, M)/fft(..., norm="forward") end in these gufuncs
+        # with the factors 1 and 1/M; calling them directly skips np.fft's
+        # per-call argument handling and gives the same bits.  The inverse
+        # transform zero-pads its 2S+1 inputs to M points itself, and the
+        # factors are 0-d arrays, which the gufuncs take without converting
         from numpy.fft import _pocketfft_umath
-        self._ifft = _pocketfft_umath.ifft
-        self._fft = _pocketfft_umath.fft
-        self._fft_factor = 1.0 / self.M
+        ifft, fft = _pocketfft_umath.ifft, _pocketfft_umath.fft
+        one, fft_factor = np.array(1.0), np.array(1.0 / self.M)
 
-    def _field(self, xi: np.ndarray, eta_rev: np.ndarray) -> np.ndarray:
-        """g = u e^{iSx} on the M-point grid."""
-        np.add(xi, eta_rev, out=self._w)
-        np.multiply(self._w, self.w_scale, out=self._w)
-        return self._ifft(self._head, 1.0, out=self._g)
+        def cubic(xi: np.ndarray, eta_rev: np.ndarray) -> np.ndarray:
+            """c_s(u^3) for |s| <= S, index s + S: the one cubic kernel.
+            It leaves g = u e^{iSx} on the M-point grid in self._g."""
+            add(xi, eta_rev, w)
+            multiply(w, w_scale, w)
+            ifft(w, one, g)
+            multiply(g, g, cube)
+            multiply(cube, g, cube)
+            fft(cube, fft_factor, spectrum)
+            return band
 
-    def _cubic(self, xi: np.ndarray, eta_rev: np.ndarray) -> np.ndarray:
-        """c_s(u^3) for |s| <= S, index s + S: the one cubic kernel."""
-        g = self._field(xi, eta_rev)
-        np.multiply(g, g, out=self._cube)
-        np.multiply(self._cube, g, out=self._cube)
-        self._fft(self._cube, self._fft_factor, out=self._spectrum)
-        return self._band
+        self._cubic = cubic
+
+    def _full(self, pair: np.ndarray) -> np.ndarray:
+        """A (2, 2S+1) pair of rows, copied out to a contiguous
+        (2,) + rows + (2S+1,) array."""
+        shape = (2,) + self.rows + (pair.shape[-1],)
+        return np.broadcast_to(pair.reshape((2,) + (1,) * len(self.rows) + (-1,)),
+                               shape).copy()
+
+    def rotation(self, phase: np.ndarray) -> np.ndarray:
+        """The linear flow on a state (xi, eta_rev), given phase = e^{i lambda h}:
+        xi turns by phase and eta by its conjugate.  lambda is even in s, so
+        the reversed eta row turns by the same conjugate."""
+        return self._full(np.stack((phase, phase.conj())))
+
+    def kick_table(self, h: float) -> np.ndarray:
+        """(+coef, -coef) with coef = 1j * h * kick_scale, at the shape of a
+        state (xi, eta_rev), (2,) + rows + (2S+1,)."""
+        coef = 1j * h * self.kick_scale
+        return self._full(np.stack((coef, -coef)))
 
     def cubic_coeffs(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """c_s(u^3) for |s| <= S, index s + S, with eta in mode order."""
         return self._cubic(xi, eta[..., ::-1]).copy()
-
-    def kick_table(self, h: float) -> np.ndarray:
-        """(+coef, -coef) with coef = 1j * h * kick_scale, shaped to
-        broadcast over a state (xi, eta_rev) of shape (2,) + rows + (2S+1,)."""
-        coef = 1j * h * self.kick_scale
-        return np.stack((coef, -coef)).reshape((2,) + (1,) * (self._head.ndim - 1)
-                                               + (-1,))
 
     def kick(self, state: np.ndarray, table: np.ndarray) -> None:
         """Exact nonlinear flow over time h, given table = kick_table(h).
@@ -205,24 +237,42 @@ class _Spectral:
         subtracting coef c_s(u^3) from eta_rev bit for bit, but for the sign
         of a zero: where a part of the update is exactly zero and eta_rev
         holds -0 there, the sum can give +0 where the difference gives -0."""
-        np.multiply(table, self._cubic(state[0], state[1]), out=self._update)
-        state += self._update
+        np.multiply(table, self._cubic(state[0], state[1]), self._update)
+        np.add(state, self._update, state)
+
+    def advance(self, state: np.ndarray, steps: int) -> None:
+        """steps Strang steps of length dt on a state (xi, eta_rev) of shape
+        (2,) + rows + (2S+1,), in place: a half kick, steps - 1 times a
+        rotation and a full kick, then a rotation and a half kick.  Without
+        the nonlinearity the exact linear flow over steps dt is one rotation.
+
+        The loop calls the kernel and binds every ufunc, table and buffer to
+        a local, so a step is one Python call and eight numpy calls, each
+        with its output passed positionally."""
+        if not self.nonlinear:
+            np.multiply(state, self.rotation(np.exp(1j * self.lam * self.dt * steps)), state)
+            return
+        multiply, add = np.multiply, np.add
+        cubic, update = self._cubic, self._update
+        rot, kick_full = self.rot, self.kick_full
+        xi, eta_rev = state
+        self.kick(state, self.kick_half)
+        for _ in range(steps - 1):
+            multiply(state, rot, state)
+            multiply(kick_full, cubic(xi, eta_rev), update)
+            add(state, update, state)
+        multiply(state, rot, state)
+        self.kick(state, self.kick_half)
 
     def energy(self, xi: np.ndarray, eta: np.ndarray, nonlinear: bool) -> np.ndarray:
         """H at states given in mode order."""
         quad = np.sum(self.lam * xi * eta, axis=-1)
         total = quad
         if nonlinear:
-            u = self._field(xi, eta[..., ::-1]) * self.unshift
+            self._cubic(xi, eta[..., ::-1])
+            u = self._g * self.unshift
             total = total + 2.0 * math.pi * np.mean(u ** 4, axis=-1)
         return total.real
-
-
-def _rotation(phase: np.ndarray) -> np.ndarray:
-    """The linear flow on a (2, B, 2S+1) state, given phase = e^{i lambda h}:
-    xi turns by phase and eta by its conjugate.  lambda is even in s, so the
-    reversed eta row turns by the same conjugate."""
-    return np.stack((phase, phase.conj()))[:, None, :]
 
 
 def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
@@ -233,7 +283,9 @@ def integrate(cfg: SimConfig, xi0: Optional[np.ndarray] = None,
     Aborts with BlowUpError (carrying the last good snapshot) if the state
     norm grows past 10x its initial value or turns NaN.
     """
-    starts = None if xi0 is None or eta0 is None else [(xi0, eta0)]
+    if (xi0 is None) != (eta0 is None):
+        raise ValueError("give both xi0 and eta0, or neither")
+    starts = None if xi0 is None else [(xi0, eta0)]
     return integrate_batch([cfg], starts)[0]
 
 
@@ -251,10 +303,12 @@ def integrate_batch(cfgs: Sequence[SimConfig],
     The members advance as one (2, B, 2S+1) state: row 0 holds xi and row 1
     holds eta reversed (eta_{-s} at index s + S), so one multiply applies
     both rotations and each step makes one pair of transforms for the whole
-    batch, into buffers kept across steps.  eta is flipped back to mode
-    order only where a sample is stored.  Every member's trajectory is the
-    one integrate() gives for it alone.  BlowUpError reports the first
-    member that blows up.
+    batch, into buffers kept across steps; _Spectral.advance runs each
+    store block.  eta is flipped back to mode order only where a sample is
+    stored.  Every member's trajectory is the one integrate() gives for it
+    alone.  BlowUpError reports the first member that blows up.  A start
+    that is not a pair of finite arrays of shape (2S+1,) is refused with
+    ValueError before the first step.
     """
     if not cfgs:
         raise ValueError("give at least one configuration")
@@ -271,11 +325,17 @@ def integrate_batch(cfgs: Sequence[SimConfig],
         starts = [initial_state(c) for c in cfgs]
     if len(starts) != len(cfgs):
         raise ValueError("give one (xi0, eta0) start per configuration")
-    spec = _Spectral(cfg, (len(cfgs),))
     width = 2 * cfg.cutoff + 1
+    for xi0, eta0 in starts:
+        if np.shape(xi0) != (width,) or np.shape(eta0) != (width,):
+            raise ValueError(f"a start must have shape ({width},) at cutoff "
+                             f"{cfg.cutoff}, got {np.shape(xi0)} and {np.shape(eta0)}")
     state = np.empty((2, len(cfgs), width), dtype=complex)
     state[0] = np.array([x for x, _ in starts], dtype=complex)
     state[1] = np.array([e for _, e in starts], dtype=complex)[:, ::-1]
+    if not np.all(np.isfinite(state)):
+        raise ValueError("a start holds a non-finite value")
+    spec = _Spectral(cfg, (len(cfgs),))
     xi, eta_rev = state
     n_steps = cfg.n_steps
     n_samples = -(-n_steps // cfg.store_every) + 1
@@ -293,29 +353,15 @@ def integrate_batch(cfgs: Sequence[SimConfig],
         energies[:, i] = spec.energy(xis[:, i], etas[:, i], cfg.nonlinearity_on)
 
     store(0, 0.0)
-    dt = cfg.dt
-    rot = _rotation(np.exp(1j * spec.lam * dt))
-    kick = spec.kick
-    kick_full = spec.kick_table(dt)
-    kick_half = spec.kick_table(dt / 2)
     sample = 1
     step = 0
-    nonlinear = cfg.nonlinearity_on
     # an overflow or NaN in a step surfaces as BlowUpError at the block's end
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             block = min(cfg.store_every, n_steps - step)
-            if nonlinear:
-                kick(state, kick_half)
-                for _ in range(block - 1):
-                    state *= rot
-                    kick(state, kick_full)
-                state *= rot
-                kick(state, kick_half)
-            else:
-                state *= _rotation(np.exp(1j * spec.lam * dt * block))
+            spec.advance(state, block)
             step += block
-            t = step * dt
+            t = step * cfg.dt
             norm = np.linalg.norm(xi, axis=-1)
             # a NaN norm compares False, so test for "not within the bound"
             over = np.flatnonzero(~(norm <= 10.0 * np.maximum(initial_norm, 1e-300)))

@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             base_config(**overrides)
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="0 steps"):
+            base_config(T=0.004, dt=0.01)
+        # a T that is not a multiple of dt rounds to the nearest step
+        assert base_config(T=580.0, dt=6e-3).n_steps == 96667
+
     def test_cutoff_covers_tangential(self):
         with pytest.raises(ValueError):
             SimConfig(cutoff=2, mass=1.3, A=AdmissibleSet([5]),
@@ -126,6 +132,59 @@ class TestSpectralKernel:
         spec.kick(state, spec.kick_table(0.01))
         assert state[0].tobytes() == (xi + coef * cubic).tobytes()
         assert state[1].tobytes() == (eta[..., ::-1] - coef * cubic).tobytes()
+
+    @pytest.mark.parametrize("store_every", [1, 2])
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["rows-none", "rows-3"])
+    @pytest.mark.parametrize("cutoff", [1, 5, 12])
+    def test_block_loop_bitwise_equals_reference_stepper(self, cutoff, rows, store_every):
+        # the reference is the step written with np.fft and broadcast
+        # (2, 1.., 2S+1) tables; five steps in blocks of 2 end in a block of 1
+        dt, n_steps = 0.02, 5
+        cfg = base_config(cutoff=cutoff, dt=dt, T=n_steps * dt, store_every=store_every)
+        rng = np.random.default_rng(cutoff)
+        shape = rows + (2 * cutoff + 1,)
+        xi = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        eta = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        spec = _Spectral(cfg, rows)
+        lam = spec.lam
+        table_shape = (2,) + (1,) * len(rows) + (-1,)
+        w_scale = (1.0 / np.sqrt(2.0 * lam) / math.sqrt(2.0 * math.pi)).astype(complex)
+        phase = np.exp(1j * lam * dt)
+        rot = np.stack((phase, phase.conj())).reshape(table_shape)
+
+        def kick(state, h):
+            coef = 1j * h * spec.kick_scale
+            head = np.zeros(rows + (4 * cutoff + 4,), dtype=complex)
+            head[..., :2 * cutoff + 1] = (state[0] + state[1]) * w_scale
+            g = np.fft.ifft(head, norm="forward")
+            band = np.fft.fft(g * g * g, norm="forward")[..., 2 * cutoff: 4 * cutoff + 1]
+            state += np.stack((coef, -coef)).reshape(table_shape) * band
+
+        ref = np.stack((xi, eta[..., ::-1]))
+        state = ref.copy()
+        samples = [ref.copy()]
+        step = 0
+        while step < n_steps:
+            block = min(store_every, n_steps - step)
+            kick(ref, dt / 2)
+            for _ in range(block - 1):
+                ref *= rot
+                kick(ref, dt)
+            ref *= rot
+            kick(ref, dt / 2)
+            spec.advance(state, block)
+            assert state.tobytes() == ref.tobytes()
+            samples.append(ref.copy())
+            step += block
+        samples = np.stack(samples, axis=-2)
+        if rows:
+            trajs = integrate_batch([cfg] * rows[0], list(zip(xi, eta)))
+        else:
+            trajs = [integrate(cfg, xi, eta)]
+        assert np.stack([t.xi for t in trajs]).tobytes() == samples[0].reshape(
+            (len(trajs), -1, shape[-1])).tobytes()
+        assert np.stack([t.eta for t in trajs]).tobytes() == np.ascontiguousarray(
+            samples[1, ..., ::-1]).reshape((len(trajs), -1, shape[-1])).tobytes()
 
 
 class TestIntegrator:
@@ -242,6 +301,38 @@ class TestIntegrator:
         assert np.array_equal(member.xi, alone.xi)
         with pytest.raises(ValueError):
             integrate_batch([cfg, cfg], [(xi0, eta0)])
+
+    @pytest.mark.parametrize("start", [
+        (np.array([0.03 + 0j]), np.array([0.03 + 0j])),
+        (np.zeros(8, dtype=complex), np.zeros(9, dtype=complex)),
+        (np.zeros((1, 9), dtype=complex), np.zeros((1, 9), dtype=complex))],
+        ids=["length-1", "short-eta", "two-dim"])
+    def test_start_of_wrong_shape_rejected(self, start):
+        # a length-1 start would broadcast over every mode
+        cfg = base_config(cutoff=4)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(cfg, *start)
+        with pytest.raises(ValueError, match="shape"):
+            integrate_batch([cfg, cfg], [initial_state(cfg), start])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                             ids=["nan", "inf", "inf-imag"])
+    def test_non_finite_start_rejected(self, bad, monkeypatch):
+        cfg = base_config(cutoff=4)
+        xi0, eta0 = initial_state(cfg)
+        xi0[3] = bad
+        # refused before the first step, not after a block as a BlowUpError
+        monkeypatch.setattr(_Spectral, "advance", None)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(cfg, xi0, eta0)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_batch([cfg, cfg], [initial_state(cfg), (eta0, xi0)])
+
+    def test_half_a_start_rejected(self):
+        cfg = base_config(cutoff=4)
+        xi0, _ = initial_state(cfg)
+        with pytest.raises(ValueError, match="both"):
+            integrate(cfg, xi0=xi0)
 
     def test_batch_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one configuration"):
