@@ -24,7 +24,7 @@ def main() -> int:
         kappas = [float(x) for x in args.kappas.split(",")]
         Ns = [int(x) for x in args.kmaxes.split(",")]
         rows = [f"{est.parameters['kappa']!r},{est.parameters['N']},"
-                f"{est.sampled_measure!r},{est.analytic_bound!r},"
+                f"{est.sampled_measure!r},{est.bound_shape!r},"
                 f"{est.parameters['tau_d3']!r},{est.parameters['iota_d3']!r}"
                 for est in excluded_mass_sweep(A, kappas, Ns, args.smax, grid=args.grid)]
     except ValueError as exc:

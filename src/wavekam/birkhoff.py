@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -214,8 +214,7 @@ def frequency_matrix(fs: FrequencySystem, A: AdmissibleSet) -> np.ndarray:
     """M[k, l] = (3/2pi)(4 - 3 delta_{l,k}) / (lambda_k lambda_l); symmetric.
 
     The one closed form of the frequency-modulation matrix: the modulation
-    law omega' = omega + M I, the rescaled map Omega(rho) and the
-    r-quadratic block (nu/2) r^T M r of the rescaled perturbation all read it.
+    law omega' = omega + M I and the rescaled map Omega(rho) both read it.
     """
     lam = fs.omega_vector(A)
     n = A.n
@@ -227,46 +226,9 @@ def frequency_matrix(fs: FrequencySystem, A: AdmissibleSet) -> np.ndarray:
     return M
 
 
-def det_m_closed_form(fs: FrequencySystem, A: AdmissibleSet) -> float:
-    """det M = (3/2pi)^n (prod lambda_l^-2) (4n - 3) (-3)^(n-1)."""
-    lam = fs.omega_vector(A)
-    n = A.n
-    return (
-        (3.0 / (2.0 * math.pi)) ** n
-        * float(np.prod(lam ** -2.0))
-        * (4 * n - 3)
-        * (-3.0) ** (n - 1)
-    )
-
-
-@dataclass
-class JetReport:
-    """Sizes of the order-(<=2) jet of the rescaled perturbation at r = zeta = 0.
-
-    Component norms are l1 sums of absolute coefficients (an upper bound for
-    the sup over real angles).  r2_block_norm is nu max|M| / 2, the largest
-    coefficient of the r-quadratic block (nu/2) r^T M r, which is the O(nu)
-    leading part of f; the jet proper is O(nu^(3/2)) once the degree-6
-    remainder is included.
-    """
-
-    value_norm: float
-    grad_r_norm: float
-    grad_zeta_norm: float
-    hess_zeta_norm: float
-    r2_block_norm: float
-    r_zeta_norm: float
-    q4_jet_norm: float
-    r6_jet_norm: float
-
-    @property
-    def jet_total(self) -> float:
-        return self.value_norm + self.grad_r_norm + self.grad_zeta_norm + self.hess_zeta_norm
-
-
 @dataclass
 class RescaledNormalForm:
-    """Internal/external frequency maps after the action rescaling I = nu(rho + r).
+    """Internal/external frequency maps after the action rescaling I = nu rho.
 
     Omega_k(rho) = omega_k + nu (M rho)_k and
     Lambda_a(rho) = lambda_a + nu (3/pi) (1/lambda_a) sum_l rho_l / lambda_l;
@@ -278,86 +240,25 @@ class RescaledNormalForm:
     A: AdmissibleSet
     fs: FrequencySystem
     nu: float
-    rho: np.ndarray
     M: np.ndarray
-    cutoff: int
-    jet: Optional[JetReport]
-    lambda_shift_constant: float   # C with |Lambda_a - lambda_a| <= C nu / <a>
 
-    def omega_of(self, rho: Optional[np.ndarray] = None) -> np.ndarray:
-        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
+    def omega_of(self, rho) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
         return self.fs.omega_vector(self.A) + self.nu * (self.M @ rho[..., None])[..., 0]
 
-    def lambda_of(self, s, rho: Optional[np.ndarray] = None):
-        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
+    def lambda_of(self, s, rho):
+        rho = np.asarray(rho, dtype=float)
         lam_t = self.fs.omega_vector(self.A)
         shift = (3.0 / math.pi) * np.sum(rho / lam_t, axis=-1)
         lam_s = self.fs.lam(s)
         return lam_s + np.divide.outer(self.nu * shift, lam_s)
 
 
-def _jet_from_polynomial(poly: Optional[PolyHamiltonian], modes: frozenset[int],
-                         nu: float, rho_map: dict[int, float]) -> tuple[float, float, float, float]:
-    """Accumulate (value, grad_r, grad_zeta, hess_zeta) l1 sizes contributed
-    by nu^{-1} (poly o rescaling): a monomial with nT tangential factors and
-    nL normal factors scales as nu^(deg/2 - 1); only nL <= 2 reaches the jet."""
-    if poly is None or len(poly) == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    span = range(-poly.cutoff, poly.cutoff + 1)
-    sqrt_rho = [math.sqrt(rho_map[s]) if s in modes else 1.0 for s in span]
-    half_inv_rho = [0.5 / rho_map[s] if s in modes else 0.0 for s in span]
-    degree = sum(poly.part_degrees())
-    n_l = degree - tangential_counts(poly, modes)
-    scale = poly.abs_coeffs() * nu ** (degree / 2.0 - 1.0)
-    scale *= np.prod(np.concatenate(poly.factor_values(sqrt_rho, 1.0), axis=1), axis=1)
-    # d/dr of prod sqrt(rho_a + r_a) at r = 0: one factor 1/(2 rho_a)
-    grad = np.sum(np.concatenate(poly.factor_values(half_inv_rho, 0.0), axis=1), axis=1)
-    return (float(scale[n_l == 0].sum()), float((scale * grad)[n_l == 0].sum()),
-            float(scale[n_l == 1].sum()), float(scale[n_l == 2].sum()))
-
-
-def rescale(nf: NormalFormResult, fs: FrequencySystem, A: AdmissibleSet, nu: float,
-            rho: Sequence[float]) -> RescaledNormalForm:
-    """Rescaled normal form around the torus with actions I = nu rho.
-
-    rho lies in [1,2]^A.  The perturbation decomposes into the r-quadratic
-    block (nu/2) r^T M r, the r (xi eta) cross block, and the scaled quartic
-    tail and degree-6 remainder.  The jet reports the first two by their
-    largest coefficients and extracts the jet of the last two at
-    r = zeta = 0 symbolically (normal-factor count <= 2).
-    """
+def rescale(fs: FrequencySystem, A: AdmissibleSet, nu: float) -> RescaledNormalForm:
+    """The frequency maps Omega(rho) and Lambda_a(rho) of the normal form
+    rescaled to the tori with actions I = nu rho, rho in [1, 2]^A: all that
+    the A1-A3 checks read of it."""
     # NaN fails every comparison, so test for "inside", not for "outside"
     if not 0 < nu < math.inf:
         raise ValueError(f"nu must be positive and finite, got {nu!r}")
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (A.n,):
-        raise ValueError(f"rho must have length {A.n}")
-    if not np.all((1.0 <= rho) & (rho <= 2.0)):
-        raise ValueError("rho must lie in [1, 2]^A")
-    lam_t = fs.omega_vector(A)
-    M = frequency_matrix(fs, A)
-    modes = frozenset(A.modes)
-    rho_map = {a: float(r) for a, r in zip(A.modes, rho)}
-    q4_jet = _jet_from_polynomial(nf.Q4, modes, nu, rho_map)
-    r6_jet = _jet_from_polynomial(nf.R6_truncated, modes, nu, rho_map)
-    jet = JetReport(
-        value_norm=q4_jet[0] + r6_jet[0],
-        grad_r_norm=q4_jet[1] + r6_jet[1],
-        grad_zeta_norm=q4_jet[2] + r6_jet[2],
-        hess_zeta_norm=q4_jet[3] + r6_jet[3],
-        r2_block_norm=nu * float(np.max(np.abs(M))) / 2.0,
-        r_zeta_norm=nu * (3.0 / math.pi) * float(np.max(1.0 / lam_t)),
-        q4_jet_norm=sum(q4_jet),
-        r6_jet_norm=sum(r6_jet),
-    )
-    shift_c = (3.0 / math.pi) * float(np.sum(2.0 / lam_t))
-    return RescaledNormalForm(
-        A=A,
-        fs=fs,
-        nu=nu,
-        rho=rho,
-        M=M,
-        cutoff=nf.cutoff,
-        jet=jet,
-        lambda_shift_constant=shift_c,
-    )
+    return RescaledNormalForm(A=A, fs=fs, nu=nu, M=frequency_matrix(fs, A))

@@ -102,12 +102,22 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   argv: Optional[list[str]]) -> argparse.Namespace:
     """Load a JSON config document (a manifest is one) as the subcommand's
     defaults and parse argv again, so a flag given in argv wins over the
-    document, even when it repeats the flag's default."""
+    document, even when it repeats the flag's default.  ValueError if the
+    document cannot be read, is not a JSON object, or names another
+    subcommand in its "command" key."""
     if not args.config:
         return args
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    for key in ("command", "version", "run_id"):
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read --config {args.config}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"--config {args.config} must hold a JSON object of options")
+    command = doc.pop("command", args.command)
+    if command != args.command:
+        raise ValueError(f"--config {args.config} is for {command!r}, not {args.command!r}")
+    for key in ("version", "run_id"):
         doc.pop(key, None)
     sub = parser._wavekam_subparsers[args.command]
     options = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
@@ -179,7 +189,7 @@ def cmd_divisors(args: argparse.Namespace) -> int:
         est = excluded_mass_scan(A, args.kappa, args.kmax, args.smax, grid=args.grid)
         summary = {
             "excluded_fraction": est.sampled_measure,
-            "analytic_bound": est.analytic_bound,
+            "analytic_bound": est.bound_shape,
             "grid_points": est.grid_points,
             "parameters": est.parameters,
         }
@@ -257,14 +267,14 @@ def cmd_kamcheck(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit_manifest(args, "kamcheck")
-    p4 = build_p4(max(A.n_bound + 2, 4), fs)
+    # the normal form is built only for its near-resonance gate (exit 4);
+    # the checks read the frequency maps alone
     try:
-        nf = solve_homological(p4, fs, A)
+        solve_homological(build_p4(max(A.n_bound + 2, 4), fs), fs, A)
     except NearResonanceError as exc:
         print(f"gamma gate: {exc}", file=sys.stderr)
         return EXIT_GAMMA_GATE
-    rho = np.full(A.n, 1.5)
-    rnf = rescale(nf, fs, A, args.nu, rho)
+    rnf = rescale(fs, A, args.nu)
     which = args.hypothesis
     reports = []
     if which in ("a1", "all"):
@@ -495,7 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser, argv)
+    try:
+        args = _apply_config(args, parser, argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     missing = [flag for flag in REQUIRED[args.command]
                if getattr(args, flag[2:].replace("-", "_")) is None]
     if missing:

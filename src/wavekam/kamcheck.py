@@ -54,7 +54,6 @@ class Violation:
     rho: tuple[float, ...]
     value: float
     required: float
-    branch: str = "value"
 
     def as_line(self) -> str:
         k_str = ",".join(str(x) for x in self.k)
@@ -292,8 +291,7 @@ def check_transversality(rnf: RescaledNormalForm, N: int, S: int,
         for i in rows:
             for j in cols:
                 found.append(((t, g, stage, i, j), Violation(
-                    "A2", family, k, *rng.ab(family, i, j), rho_t, value, required,
-                    "value+derivative")))
+                    "A2", family, k, *rng.ab(family, i, j), rho_t, value, required)))
 
     def settle(start, lam_b, dots_b, failing, pending):
         """The exact D1-D3 test of the screen's pairs (row p of the block,

@@ -194,7 +194,8 @@ class PolyHamiltonian:
         return int(sum(self.part_degrees()).max(initial=0))
 
     def max_abs_coeff(self) -> float:
-        return float(self.abs_coeffs().max(initial=0.0))
+        """max |c| over the terms, each |c| as Python's abs(complex) rounds it."""
+        return float(np.hypot(self._re, self._im).max(initial=0.0))
 
     # -- per-term arrays ------------------------------------------------------
     def part_degrees(self) -> tuple[np.ndarray, np.ndarray]:
@@ -217,10 +218,6 @@ class PolyHamiltonian:
         lam = fs.lam(np.arange(-self.cutoff, self.cutoff + 1))
         xi, eta = self.factor_values(lam, 0.0)
         return np.add.accumulate(xi, axis=1)[:, -1] - np.add.accumulate(eta, axis=1)[:, -1]
-
-    def abs_coeffs(self) -> np.ndarray:
-        """|c| of each term, as Python's abs(complex) rounds it."""
-        return np.hypot(self._re, self._im)
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
@@ -303,36 +300,6 @@ class PolyHamiltonian:
                           for s, run in itertools.groupby(row) if s != self._pad) or "-"
                  for row in distinct.tolist()]
         return [texts[i] for i in inverse.ravel().tolist()]
-
-    @classmethod
-    def deserialize(cls, text: str) -> "PolyHamiltonian":
-        cutoff = None
-        terms: dict[Monomial, complex] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                if key.strip() == "cutoff":
-                    cutoff = int(value)
-                continue
-            fields = dict(part.split(":", 1) for part in line.split())
-            m = mono(_parse_exponents(fields["xi"]), _parse_exponents(fields["eta"]))
-            terms[m] = complex(float(fields["re"]), float(fields["im"]))
-        if cutoff is None:
-            raise ValueError("missing cutoff header")
-        return cls(cutoff, terms)
-
-
-def _parse_exponents(text: str) -> list[int]:
-    if text == "-":
-        return []
-    out: list[int] = []
-    for part in text.split(","):
-        s, e = part.split("^")
-        out.extend([int(s)] * int(e))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -622,25 +589,10 @@ def build_h2(cutoff: int, fs: FrequencySystem) -> PolyHamiltonian:
 
 @dataclass
 class P4Split:
-    """Quartic interaction with views by (xi-degree, eta-degree) pattern:
-    p0 holds (4,0)+(0,4), p1 holds (3,1)+(1,3), p2 holds (2,2)."""
+    """The quartic interaction; solve_homological splits it by (xi-degree,
+    eta-degree) pattern."""
 
     total: PolyHamiltonian
-
-    def _xi_degree_in(self, degrees: tuple[int, ...]) -> PolyHamiltonian:
-        return self.total.filter(np.isin(self.total.part_degrees()[0], degrees))
-
-    @property
-    def p0(self) -> PolyHamiltonian:
-        return self._xi_degree_in((0, 4))
-
-    @property
-    def p1(self) -> PolyHamiltonian:
-        return self._xi_degree_in((1, 3))
-
-    @property
-    def p2(self) -> PolyHamiltonian:
-        return self._xi_degree_in((2,))
 
     @property
     def cutoff(self) -> int:
@@ -823,7 +775,6 @@ def gradient_norm(grad: PhasePoint, alpha: float) -> float:
 class RadialScalingFit:
     exponent: float
     constant: float
-    radii: tuple[float, ...]
     values: tuple[float, ...]
 
 
@@ -850,6 +801,5 @@ def radial_scaling_fit(f: PolyHamiltonian, quantity: str, radii: Sequence[float]
     return RadialScalingFit(
         exponent=float(slope),
         constant=float(np.exp(intercept)),
-        radii=tuple(radii),
         values=tuple(values),
     )

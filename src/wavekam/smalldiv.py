@@ -65,17 +65,6 @@ class DivisorReport:
     bound_required: float
     satisfied: bool
     certified: Optional[bool] = None
-    mass: Optional[float] = None
-
-    def as_line(self) -> str:
-        q = self.query
-        k_str = ",".join(str(x) for x in q.k)
-        return (
-            f"kind={q.kind} k={k_str} a={q.a} b={q.b} value={self.value!r} "
-            f"required={self.bound_required!r} resonant={int(self.resonant)} "
-            f"satisfied={int(self.satisfied)}"
-            + ("" if self.certified is None else f" certified={int(self.certified)}")
-        )
 
 
 def divisor_weight(q: DivisorQuery) -> float:
@@ -338,7 +327,7 @@ def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: in
             for i, j in zip(*np.nonzero(bad)):
                 q = DivisorQuery(kind, k, *rng.ab(kind, i, j))
                 report = DivisorReport(q, float(values[i, j]), False,
-                                       float(bound[i, j]), False, mass=fs.mass)
+                                       float(bound[i, j]), False)
                 if certify:
                     iv = evaluate_divisor_interval(q, fs.mass, A)
                     report.certified = iv.abs_upper() < report.bound_required
@@ -349,17 +338,16 @@ def scan_lower_bounds(fs: FrequencySystem, A: AdmissibleSet, kappa: float, N: in
 @dataclass
 class MeasureEstimate:
     """Grid-sampled measure of the masses in [1, 2] that one (kappa, N) cell
-    excludes, next to the exponents' shape kappa^tau N^iota (analytic_bound).
+    excludes, next to the exponents' shape kappa^tau N^iota (bound_shape),
+    which is not a bound: its constant C is left out.
 
     sampled_measure is the fraction of grid points excluded (the interval has
-    length 1).  boundary_cells counts the changes of the indicator between
-    neighbouring grid points.
+    length 1).
     """
 
-    analytic_bound: float
+    bound_shape: float
     sampled_measure: float
     grid_points: int
-    boundary_cells: int
     parameters: dict = field(default_factory=dict)
 
 
@@ -426,10 +414,9 @@ def _excluded_estimate(A: AdmissibleSet, kappa: float, N: int, S: int,
     meta = scan_metadata(A, kappa, N, S)
     tau, iota = meta["tau_d3"], meta["iota_d3"]
     return MeasureEstimate(
-        analytic_bound=float(kappa ** tau * N ** iota),
+        bound_shape=float(kappa ** tau * N ** iota),
         sampled_measure=float(np.mean(excluded)),
         grid_points=len(excluded),
-        boundary_cells=int(np.count_nonzero(excluded[1:] != excluded[:-1])),
         parameters={"kappa": kappa, "N": N, **meta,
                     "bound_shape": "C * kappa^tau * N^iota (per-kind exponents in metadata)"},
     )

@@ -47,9 +47,11 @@ def frequency_derivative(a: int, m, j: int):
 def is_admissible(modes: Iterable[int]) -> bool:
     """True iff no j != 0 in the set has -j also in the set.
 
-    Duplicate entries are invalid input and raise.
+    An empty set or duplicate entries are invalid input and raise.
     """
     seq = list(modes)
+    if not seq:
+        raise ValueError("tangential set must be non-empty")
     mode_set = set(seq)
     if len(mode_set) != len(seq):
         raise ValueError(f"duplicate modes in {seq}")
@@ -67,8 +69,6 @@ class AdmissibleSet:
 
     def __init__(self, modes: Iterable[int]):
         seq = tuple(sorted(modes))
-        if not seq:
-            raise ValueError("tangential set must be non-empty")
         if not is_admissible(seq):
             raise ValueError(f"{seq} contains an opposite pair and is not admissible")
         object.__setattr__(self, "modes", seq)

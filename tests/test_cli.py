@@ -25,6 +25,20 @@ class TestAdmissible:
     def test_duplicate_is_usage_error(self):
         assert run(["admissible", "--modes", "2,2"]) == 2
 
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    def test_empty_set_is_usage_error(self, source, tmp_path, capsys):
+        # every subcommand refuses the empty tangential set
+        if source == "argv":
+            argv = ["admissible", "--modes", ""]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"modes": []}))
+            argv = ["admissible", "--config", str(config)]
+        assert run(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: tangential set must be non-empty" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDivisors:
     def test_generic_mass_empty(self, tmp_path, capsys):
@@ -312,6 +326,35 @@ def test_non_finite_float_is_usage_error(argv, key, value, source, tmp_path, cap
     assert run(argv + extra + ["--output-dir", str(out)]) == 2
     assert f"--{key.replace('_', '-')} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "", "{", "[1, 2]", '"modes"', "null"],
+                         ids=["missing", "empty", "not-json", "list", "string", "null"])
+def test_unusable_config_is_usage_error(text, tmp_path, capsys):
+    # a document that cannot be read or is not a JSON object; exit 1 would
+    # read as "not admissible"
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    assert run(["admissible", "--modes", "1,2", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "--config" in err
+
+
+def test_manifest_of_another_subcommand_is_usage_error(tmp_path, capsys):
+    assert run(["admissible", "--modes", "1,2", "--output-dir", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "a" / "manifest.json"
+    assert run(["divisors", "--config", str(manifest), "--mass", "1.3",
+                "--kmax", "1", "--smax", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err and "'admissible'" in err
+    # the same document without its command key is a plain config
+    doc = json.loads(manifest.read_text())
+    del doc["command"]
+    manifest.write_text(json.dumps(doc))
+    assert run(["divisors", "--config", str(manifest), "--mass", "1.3",
+                "--kmax", "1", "--smax", "3"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

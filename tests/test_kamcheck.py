@@ -2,14 +2,13 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavekam import kamcheck
-from wavekam.birkhoff import RescaledNormalForm, rescale, solve_homological
+from wavekam.birkhoff import RescaledNormalForm, rescale
 from wavekam.kamcheck import (
     HypothesisReport,
     Violation,
@@ -19,19 +18,14 @@ from wavekam.kamcheck import (
     melnikov_sweep,
     rho_grid,
 )
-from wavekam.polyham import build_p4
 from wavekam.smalldiv import DivisorRange, resonant_patterns
 from wavekam.spectrum import AdmissibleSet, FrequencySystem
 
 GENERIC_MASS = 1.31   # passes all three hypotheses at nu = 1e-4, N = 20, S = 60
 
 
-def make_rnf(mass=GENERIC_MASS, modes=(1,), nu=1e-4, rho=None):
-    fs = FrequencySystem(mass)
-    A = AdmissibleSet(modes)
-    nf = solve_homological(build_p4(max(A.n_bound + 2, 4), fs), fs, A)
-    rho = np.full(A.n, 1.5) if rho is None else rho
-    return rescale(nf, fs, A, nu, rho)
+def make_rnf(mass=GENERIC_MASS, modes=(1,), nu=1e-4):
+    return rescale(FrequencySystem(mass), AdmissibleSet(modes), nu)
 
 
 @pytest.fixture(scope="module")
@@ -293,8 +287,7 @@ def reference_transversality(rnf, N, S, gamma_exponent=0.25, points_per_dim=None
     def record(family, k, a, b, rho, value, required):
         violations.append(Violation("A2", family, tuple(int(x) for x in k),
                                     a, b, tuple(float(r) for r in rho),
-                                    float(value), float(required),
-                                    "value+derivative"))
+                                    float(value), float(required)))
 
     def value_failures(k, rho, omega_k, lam, margin):
         failures = []
@@ -572,8 +565,8 @@ class TiedRNF(RescaledNormalForm):
     """Omega(rho) = (1 + rho_0 / 4, 2 + rho_1 / 2): k = (2, 0) and (0, 1) have
     the same dot wherever rho_0 = rho_1, and (2, -1) has a zero dot there."""
 
-    def omega_of(self, rho: Optional[np.ndarray] = None) -> np.ndarray:
-        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
+    def omega_of(self, rho) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
         return np.array([1.0, 2.0]) + np.array([0.25, 0.5]) * rho
 
 

@@ -77,7 +77,7 @@ def test_excluded_mass_csv_rows_are_the_scan():
         kappa, N = float(r["kappa"]), int(r["kmax"])
         est = excluded_mass_scan(A, kappa, N, 6, grid=2000)
         assert [float(r[f]) for f in ("excluded_fraction", "bound_shape", "tau_d3", "iota_d3")] == [
-            est.sampled_measure, est.analytic_bound, est.parameters["tau_d3"],
+            est.sampled_measure, est.bound_shape, est.parameters["tau_d3"],
             est.parameters["iota_d3"]]
         fraction[kappa, N] = est.sampled_measure
     for N in kmaxes:

@@ -323,7 +323,7 @@ class TestScanMatchesPerQueryReference:
         A, m, kappa, N, S = case
         fs = FrequencySystem(m)
         reports = scan_lower_bounds(fs, A, kappa, N, S, certify=True)
-        assert all(not r.resonant and not r.satisfied and r.mass == m for r in reports)
+        assert all(not r.resonant and not r.satisfied for r in reports)
         got = [(r.query, r.value.hex(), r.bound_required.hex(), r.certified)
                for r in reports]
         assert got == reference_scan(A, fs, kappa, N, S)
@@ -336,7 +336,6 @@ class TestScanMatchesPerQueryReference:
         excluded = reference_excluded(A, kappa, N, S, grid)
         est = excluded_mass_scan(A, kappa, N, S, grid=grid)
         assert est.sampled_measure == float(np.mean(excluded))
-        assert est.boundary_cells == int(np.count_nonzero(excluded[1:] != excluded[:-1]))
 
     @settings(max_examples=15, deadline=None)
     @given(sweep_cases())
@@ -351,7 +350,6 @@ class TestScanMatchesPerQueryReference:
                 reference[kappa, N] = reference_excluded(A, kappa, N, S, grid)
             excluded = reference[kappa, N]
             assert est.sampled_measure == float(np.mean(excluded))
-            assert est.boundary_cells == int(np.count_nonzero(excluded[1:] != excluded[:-1]))
             assert est == excluded_mass_scan(A, kappa, N, S, grid=grid)
 
     def test_excluded_mass_scan_counts_d3_at_k0(self):
