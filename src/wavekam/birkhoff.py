@@ -30,6 +30,7 @@ from .polyham import (
     Monomial,
     P4Split,
     PolyHamiltonian,
+    _sort_rows,
     bracket_with_h2,
     mono,
     poisson_bracket,
@@ -57,7 +58,7 @@ def r2_terms(poly: PolyHamiltonian) -> np.ndarray:
     """(2,2) terms whose divisor vanishes identically in the mass: the xi and
     eta indices have equal multisets of absolute values."""
     xi, eta = poly.factor_values(np.abs(np.arange(-poly.cutoff, poly.cutoff + 1)), -1)
-    same = np.all(np.sort(xi, axis=1) == np.sort(eta, axis=1), axis=1)
+    same = np.all([x == e for x, e in zip(_sort_rows(xi.T), _sort_rows(eta.T))], axis=0)
     return (poly.part_degrees()[0] == 2) & same
 
 
@@ -106,11 +107,17 @@ def solve_homological(p4: P4Split, fs: FrequencySystem, A: ModeSetLike,
     """Solve {H2, chi4} = Z4 + Q4 - P4 exactly, coefficient by coefficient.
 
     gamma_threshold gates the minimum |divisor| over the removed monomials
-    with tangential count >= 2 (the all-xi/all-eta divisors are always > 4).
+    with tangential count >= 2 (the all-xi/all-eta divisors are always > 4);
+    ValueError unless it is positive, since a gate at 0 or below would let
+    an exactly zero divisor through into chi4.
+
     The degree-6 remainder {P4, chi4} + (1/2){{H2, chi4}, chi4} is computed
     only on request, as the one bracket (1/2){P4 + Z4 + Q4, chi4} that the
     homological equation makes it equal to; it is quadratic in the term count.
     """
+    # NaN fails every comparison, so test for "positive", not for "not positive"
+    if not gamma_threshold > 0:
+        raise ValueError(f"gamma threshold must be positive, got {gamma_threshold!r}")
     modes = _tangential(A)
     total = p4.total
     n_xi, _ = total.part_degrees()

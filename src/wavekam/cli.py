@@ -120,12 +120,57 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     for key in ("version", "run_id"):
         doc.pop(key, None)
     sub = parser._wavekam_subparsers[args.command]
-    options = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
+    options = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key in doc:
         if key not in options:
             parser.error(f"unknown config key {key!r}")
-    sub.set_defaults(**doc)
+    sub.set_defaults(**{key: _config_value(options[key], value, args.config)
+                        for key, value in doc.items()})
     return parser.parse_args(argv)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that float() takes: a float, or an integer in range."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
+
+
+def _config_value(action: argparse.Action, value, path: str):
+    """A config document's value for an option, as its flag would have
+    parsed it.  argparse converts string defaults only, so a value of the
+    wrong JSON type is a ValueError that names the key."""
+    if value is None and action.default is None:
+        return None
+    if action.choices is not None:
+        expected = f"one of {', '.join(map(repr, action.choices))}"
+        ok = isinstance(value, str) and value in action.choices
+    elif action.type is int:
+        expected, ok = "an integer", _is_int(value)
+    elif action.type is float:
+        expected, ok = "a number", _is_number(value)
+    elif action.type is _parse_modes:
+        expected = "a list of integers"
+        ok = isinstance(value, list) and all(map(_is_int, value))
+    elif action.type is _parse_floats:
+        expected = "a list of numbers"
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    elif action.nargs == 0:  # store_true
+        expected, ok = "true or false", isinstance(value, bool)
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ValueError(f"--config {path}: key {action.dest!r} must be {expected}, "
+                         f"got {json.dumps(value)}")
+    # a JSON integer where the flag parses a float
+    if action.type is float:
+        return float(value)
+    if action.type is _parse_floats:
+        return [float(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +254,16 @@ def cmd_birkhoff(args: argparse.Namespace) -> int:
         fs = FrequencySystem(args.mass)
         if args.cutoff < A.n_bound:
             raise ValueError(f"--cutoff must cover the tangential set, got {args.cutoff}")
+        nf = solve_homological(build_p4(args.cutoff, fs), fs, A,
+                               gamma_threshold=args.gamma_threshold)
+    except NearResonanceError as exc:
+        _emit_manifest(args, "birkhoff")
+        print(f"gamma gate: {exc}", file=sys.stderr)
+        return EXIT_GAMMA_GATE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit_manifest(args, "birkhoff")
-    p4 = build_p4(args.cutoff, fs)
-    try:
-        nf = solve_homological(p4, fs, A, gamma_threshold=args.gamma_threshold)
-    except NearResonanceError as exc:
-        print(f"gamma gate: {exc}", file=sys.stderr)
-        return EXIT_GAMMA_GATE
     report = verify_zminus_vanishing(nf, A)
     table = z4_action_coefficient_table(nf, A)
     summary = {

@@ -21,7 +21,7 @@ the only approximation anywhere is rounding.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -110,6 +110,46 @@ def _find(rows: np.ndarray, queries: np.ndarray, pad: int) -> np.ndarray:
     order = np.argsort(keys)
     at = np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)
     return np.where(keys[order][at] == wanted, order[at], -1)
+
+
+@functools.cache
+def _network(width: int) -> tuple[tuple[int, int], ...]:
+    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge sort
+    on `width` columns: the network for the next power of two with every
+    pair that reaches past the last column left out (those columns would
+    hold +inf, so the pair would never exchange)."""
+    n = 1 << max(0, width - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple((i, j) for i, j in pairs if j < width)
+
+
+def _sort_rows(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Short rows of integers, given as their columns (equal-shape arrays,
+    such as rows.T), sorted along the row by a fixed compare-exchange
+    network run on whole columns; the sorted columns, np.sort's result."""
+    cols = list(columns)
+    for i, j in _network(len(cols)):
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return cols
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float, formatted once per distinct bit pattern (so 0.0
+    and -0.0 keep their own texts)."""
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    texts = np.array([repr(v) for v in values[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def _cmul(ar, ai, br, bi):
@@ -287,19 +327,32 @@ class PolyHamiltonian:
         rows = self._rows[order]
         w = self._width
         lines = [f"# cutoff: {self.cutoff}"]
-        lines += [f"xi:{x} eta:{e} re:{re!r} im:{im!r}" for x, e, re, im in zip(
+        lines += [f"xi:{x} eta:{e} re:{re} im:{im}" for x, e, re, im in zip(
             self._exponent_texts(rows[:, :w]), self._exponent_texts(rows[:, w:]),
-            self._re[order].tolist(), self._im[order].tolist())]
+            _reprs(self._re[order]), _reprs(self._im[order]))]
         return "\n".join(lines) + "\n"
 
     def _exponent_texts(self, part: np.ndarray) -> list[str]:
-        """"<idx^exp,...>" of each row of one part ("-" for none), formatted
-        once per distinct row from its runs of equal indices."""
-        distinct, inverse = np.unique(part, axis=0, return_inverse=True)
-        texts = [",".join(f"{s - self.cutoff}^{len(list(run))}"
-                          for s, run in itertools.groupby(row) if s != self._pad) or "-"
-                 for row in distinct.tolist()]
-        return [texts[i] for i in inverse.ravel().tolist()]
+        """"<idx^exp,...>" of each row of one part ("-" for none), built once
+        per distinct row by joining, column by column, the "idx^exp" texts of
+        its runs of equal indices from a table indexed by index and run
+        length."""
+        pad, cutoff = self._pad, self.cutoff
+        _, first, inverse = np.unique(_keys(part, pad), return_index=True,
+                                      return_inverse=True)
+        rows = part[first]
+        width = rows.shape[1]
+        # the rows are sorted, so a run starts where the index changes and
+        # its length is the number of times the index occurs in the row
+        starts = rows[:, 1:] != rows[:, :-1]
+        runs = (rows[:, :, None] == rows[:, None, :]).sum(axis=2)
+        table = np.array([[f"{s - cutoff}^{e}" for e in range(width + 1)]
+                          for s in range(pad)] + [["-"] * (width + 1)], dtype=object)
+        texts = table[rows[:, 0], runs[:, 0]]
+        for col in range(1, width):
+            run = starts[:, col - 1] & (rows[:, col] != pad)
+            texts = texts + np.where(run, "," + table[rows[:, col], runs[:, col]], "")
+        return texts[inverse].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +443,8 @@ def _blocks(cost: np.ndarray) -> Iterator[tuple[int, int]]:
 def _factors(poly: PolyHamiltonian, drop_xi: bool):
     """Every (term, mode j) where j is a factor of the term's xi part
     (drop_xi) or eta part, by j then term: the term, j, the exponent as a
-    float, and the term's xi and eta rows with one factor j taken out of
-    that part."""
+    float, and the columns of the term's xi and eta rows with one factor j
+    taken out of that part, as two (width, entries) arrays."""
     w, pad = poly._width, poly._pad
     xi, eta = poly._rows[:, :w], poly._rows[:, w:]
     part = xi if drop_xi else eta
@@ -404,7 +457,7 @@ def _factors(poly: PolyHamiltonian, drop_xi: bool):
     rows = xi if drop_xi else eta
     if len(term):
         rows[np.arange(len(term)), np.argmax(rows == mode[:, None], axis=1)] = pad
-    return term, mode, count[term, mode].astype(float), xi, eta
+    return term, mode, count[term, mode].astype(float), xi.T.copy(), eta.T.copy()
 
 
 class _GroupSum:
@@ -412,7 +465,10 @@ class _GroupSum:
     each `width` wide), added one at a time in the order given.
 
     The keys seen so far are kept sorted, beside the id of each: its rank in
-    order of first appearance.
+    order of first appearance.  A block's rows are grouped by an unstable
+    sort of their keys; the order within a group does not matter, since a
+    group's earliest row is the least of its positions and np.add.at adds
+    the rows in their given order.
     """
 
     def __init__(self, cutoff: int, width: int):
@@ -430,13 +486,13 @@ class _GroupSum:
         if not len(rows):
             return
         keys = _keys(rows, self.pad)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         ordered = keys[order]
         starts = np.ones(len(rows), dtype=bool)
         starts[1:] = ordered[1:] != ordered[:-1]
         group = np.cumsum(starts) - 1
-        # the sort is stable, so a group's first sorted row is its earliest
-        first = order[starts]
+        # a group's earliest row, whatever order the sort left its rows in
+        first = np.minimum.reduceat(order, np.flatnonzero(starts))
         keys = ordered[starts]
         at = np.searchsorted(self._known, keys)
         found = at < len(self._known)
@@ -517,9 +573,9 @@ def poisson_bracket(f: PolyHamiltonian, g: PolyHamiltonian,
             if max_degree is not None:
                 keep = f_degree[f_term[a]] + g_degree[g_term[b]] - 2 <= max_degree
                 a, b = a[keep], b[keep]
-            xi = np.sort(np.concatenate([f_xi[a], g_xi[b]], axis=1), axis=1)
-            eta = np.sort(np.concatenate([f_eta[a], g_eta[b]], axis=1), axis=1)
-            rows.append(np.concatenate([xi[:, :width], eta[:, :width]], axis=1))
+            xi = _sort_rows([c[a] for c in f_xi] + [c[b] for c in g_xi])
+            eta = _sort_rows([c[a] for c in f_eta] + [c[b] for c in g_eta])
+            rows.append(np.stack(xi[:width] + eta[:width], axis=1))
             fa, gb = f_term[a], g_term[b]
             c_re, c_im = _cmul(f_re[fa], f_im[fa], g._re[gb], g._im[gb])
             c_re, c_im = _cmul(c_re, c_im, f_exp[a], 0.0)
@@ -530,7 +586,8 @@ def poisson_bracket(f: PolyHamiltonian, g: PolyHamiltonian,
             im.append(c_im)
             keys.append((((fa - lo) * len(g) + gb) * 2 + side) * n_modes + f_mode[a])
         order = np.argsort(np.concatenate(keys))
-        out.add(np.concatenate(rows)[order], np.concatenate(re)[order],
+        # np.take copies short rows several times faster than rows[order]
+        out.add(np.take(np.concatenate(rows), order, axis=0), np.concatenate(re)[order],
                 np.concatenate(im)[order])
     return out.result()
 
@@ -624,16 +681,21 @@ def build_p4(cutoff: int, fs: FrequencySystem) -> P4Split:
     to_xi = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
     pad = 2 * cutoff + 1
     dtype = np.min_scalar_type(pad)
-    as_xi = (quads + cutoff).astype(dtype)[:, None, :]
-    as_eta = (cutoff - quads).astype(dtype)[:, None, :]
+    # each quadruple as an xi part and an eta part, (quadruples, 2, 4)
+    parts = np.stack([quads + cutoff, cutoff - quads], axis=1).astype(dtype)
     out = _GroupSum(cutoff, 4)
     step = max(1, BLOCK_ROWS // 16)
+    # the 16 patterns, once for each quadruple of a full block, as the pad
+    # where a factor goes to the other part and 0 where it stays: the pad
+    # exceeds every index, so np.maximum applies the pattern
+    blank = np.tile(np.where(np.stack([~to_xi, to_xi], axis=1), pad, 0).astype(dtype),
+                    (step, 1, 1))
     for lo in range(0, len(quads), step):
-        xi = np.sort(np.where(to_xi, as_xi[lo:lo + step], pad), axis=2)
-        eta = np.sort(np.where(to_xi, pad, as_eta[lo:lo + step]), axis=2)
-        contrib = np.repeat(base[lo:lo + step], 16)
-        out.add(np.concatenate([xi, eta], axis=2).reshape(-1, 8), contrib,
-                np.zeros_like(contrib))
+        hi = min(lo + step, len(quads))
+        rows = np.maximum(np.repeat(parts[lo:hi], 16, axis=0), blank[:16 * (hi - lo)])
+        rows = np.stack(_sort_rows(np.moveaxis(rows, 2, 0)), axis=2).reshape(-1, 8)
+        contrib = np.repeat(base[lo:hi], 16)
+        out.add(rows, contrib, np.zeros_like(contrib))
     return P4Split(out.result())
 
 

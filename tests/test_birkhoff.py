@@ -96,6 +96,13 @@ class TestSolveHomological:
             solve_homological(p4, fs, A, gamma_threshold=threshold)
         assert abs(err.value.value) <= threshold
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_gamma_threshold_must_be_positive(self, nf_015, threshold):
+        # at 0 or below the gate would pass an exactly zero divisor into chi4
+        nf, fs, A, p4 = nf_015
+        with pytest.raises(ValueError, match="gamma threshold must be positive"):
+            solve_homological(p4, fs, A, gamma_threshold=threshold)
+
     def test_lie_series_consistency(self, nf_015):
         nf, fs, A, p4 = nf_015
         h2 = build_h2(8, fs)

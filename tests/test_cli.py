@@ -101,6 +101,16 @@ class TestBirkhoff:
                     "--cutoff", "8", "--gamma-threshold", "0.5"])
         assert code == 4
 
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_gamma_threshold_not_positive_is_usage_error(self, tmp_path, capsys, threshold):
+        # a gate at 0 or below is no gate: a zero divisor would reach chi4
+        out = tmp_path / "out"
+        assert run(["birkhoff", "--modes", "1", "--mass", "1.3", "--cutoff", "3",
+                    f"--gamma-threshold={threshold}", "--output-dir", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "error: gamma threshold must be positive" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cutoff", ["2", "-1"])
     def test_cutoff_below_tangential_set_is_usage_error(self, tmp_path, capsys, cutoff):
         # a cutoff under |a| = 5 would drop the tangential mode from P4, and
@@ -339,6 +349,39 @@ def test_unusable_config_is_usage_error(text, tmp_path, capsys):
     assert run(["admissible", "--modes", "1,2", "--config", str(config)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "--config" in err
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("admissible", {"modes": 5}, "modes"),
+    ("admissible", {"modes": [1, True]}, "modes"),
+    ("birkhoff", {"modes": [1], "mass": 1.3, "cutoff": 2.5}, "cutoff"),
+    ("birkhoff", {"modes": [1], "mass": 1.3, "cutoff": True}, "cutoff"),
+    ("birkhoff", {"modes": [1], "mass": "1.3"}, "mass"),
+    ("kamcheck", {"modes": [1], "hypothesis": "a4"}, "hypothesis"),
+    ("kamcheck", {"modes": [1], "force": 1}, "force"),
+    ("kamcheck", {"modes": [1], "kappa_sweep": 1e-7}, "kappa_sweep"),
+], ids=lambda p: json.dumps(p) if isinstance(p, dict) else p)
+def test_config_value_of_wrong_type_is_usage_error(command, doc, key, tmp_path, capsys):
+    # argparse converts only string defaults, so a document's value of the
+    # wrong JSON type would otherwise crash later or run as something else
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), "--output-dir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+def test_config_number_for_float_option_runs_as_the_flag(tmp_path, capsys):
+    # a JSON integer where the flag parses a float, as --mass 2 would
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"modes": [1], "mass": 2, "cutoff": 3}))
+    assert run(["birkhoff", "--config", str(config), "--output-dir", str(tmp_path / "a")]) == 0
+    assert run(["birkhoff", "--modes", "1", "--mass", "2", "--cutoff", "3",
+                "--output-dir", str(tmp_path / "b")]) == 0
+    for name in ("manifest.json", "summary.json", "normal_form.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_manifest_of_another_subcommand_is_usage_error(tmp_path, capsys):

@@ -518,6 +518,76 @@ class TestBracketMatchesLoop:
         assert_bitwise_equal(out, reference_bracket(f, g))
 
 
+class TestIndexRowKernels:
+    """The row sort, the grouped sums and the serialization's dedup against
+    plain references, beside the whole-kernel oracles above."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_sort_rows_matches_np_sort(self, width, dtype):
+        rng = np.random.default_rng(width)
+        pad = np.iinfo(dtype).max if dtype is np.uint16 else 2 * 14 + 1
+        # few distinct values, so rows hold many ties, and the pad often
+        rows = rng.choice(np.array([0, 3, 7, pad], dtype=dtype), (500, width))
+        got = np.stack(polyham._sort_rows(rows.T), axis=1)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.sort(rows, axis=1))
+        # every 0-1 row sorted means the network sorts every row
+        bits = (np.arange(2 ** width)[:, None] >> np.arange(width)) & 1
+        assert np.array_equal(np.stack(polyham._sort_rows(bits.T), axis=1),
+                              np.sort(bits, axis=1))
+
+    def test_network_sizes(self):
+        assert [len(polyham._network(w)) for w in (1, 2, 4, 8)] == [0, 1, 5, 19]
+
+    @pytest.mark.parametrize("cutoff, width", [(3, 2), (40, 6)], ids=["word", "void"])
+    def test_group_sum_with_many_ties(self, monkeypatch, cutoff, width):
+        # a few hundred rows drawn from a pool of 12 keys, in blocks that
+        # each hold many copies of one key, against a dict filled in order
+        pad = 2 * cutoff + 1
+        assert (polyham._keys(np.zeros((1, 2 * width), np.int64), pad).dtype.kind
+                == ("V" if cutoff == 40 else "i"))
+        rng = np.random.default_rng(cutoff)
+        pool = np.sort(rng.integers(0, pad + 1, (12, 2, width)), axis=2).reshape(12, -1)
+        pick = rng.integers(0, len(pool), 600)
+        rows = pool[pick].astype(np.min_scalar_type(pad))
+        re = rng.choice([1.0, -1.0, 0.5, 1e-17, -0.0], 600)
+        im = rng.choice([0.0, -0.0, 2.0, 1e16], 600)
+        expected = {}
+        for key, c in zip(map(tuple, rows.tolist()), (complex(a, b) for a, b in zip(re, im))):
+            expected[key] = expected.get(key, 0j) + c
+        expected = [(k, c.real.hex(), c.imag.hex()) for k, c in expected.items() if c != 0]
+        sums = polyham._GroupSum(cutoff, width)
+        for lo in range(0, 600, 250):
+            sums.add(rows[lo:lo + 250], re[lo:lo + 250], im[lo:lo + 250])
+        got = sums.result()
+        assert [(tuple(r), a.hex(), b.hex()) for r, a, b in zip(
+            got._rows.tolist(), got._re.tolist(), got._im.tolist())] == expected
+
+    def test_serialize_wide_parts_at_cutoff_40(self):
+        # degree-6 terms of a bracket, and parts of 10 and 12 factors, whose
+        # keys in base 82 take two int64 words
+        rng = np.random.default_rng(6)
+        modes = [-40, -39, 0, 1, 39, 40]
+        terms = {}
+        for n_xi in (0, 3, 6, 10, 12, 12):
+            for _ in range(10):
+                terms[mono(rng.choice(modes, n_xi).tolist(),
+                           rng.choice(modes, 12 - n_xi).tolist())] = complex(
+                    rng.choice([1.5, -0.0, 0.0]), rng.standard_normal())
+        # parts that agree on the first 9 indices, as many as one word holds
+        for tail in ((), (1,), (40,), (1, 1), (1, 40), (39, 40, 40)):
+            terms[mono([0] * 9 + list(tail), [-40] * 9 + list(tail))] = 1.0
+        wide = PolyHamiltonian(40, terms)
+        assert polyham._keys(wide._rows[:, :12], wide._pad).dtype.kind == "V"
+        f = PolyHamiltonian(40, {mono([40, 1], [0, 0]): 1.0, mono([0, 39], [-39, 40]): 2j})
+        g = PolyHamiltonian(40, {mono([0, 0], [1, 40]): 1 - 1j, mono([-39], [0]): 3.0})
+        sextic = poisson_bracket(f, g)
+        assert len(sextic) > 1 and max(m.degree for m, _ in sextic) == 6
+        for poly in (wide, sextic):
+            assert poly.serialize() == dict_serialize(40, sorted(poly))
+
+
 class TestLieTransform:
     def test_zero_generator(self):
         rng = np.random.default_rng(1)
